@@ -18,8 +18,34 @@ TidSet TidSet::FromSorted(std::vector<Tid> tids, Tid universe) {
   set.universe_ = universe;
   set.count_ = static_cast<Support>(tids.size());
   set.sparse_ = std::move(tids);
-  if (ShouldBeDense(set.sparse_.size(), universe)) set.ConvertToDense();
+  if (ShouldBeDense(set.sparse_.size(), universe)) {
+    set.ConvertToDense();
+    // A fresh set has no intersection buffers to keep warm.
+    std::vector<Tid>().swap(set.sparse_);
+  }
   return set;
+}
+
+bool TidSet::ContainsAll(std::span<const Tid> tids,
+                         std::size_t* probed) const {
+  *probed = 0;
+  if (tids.size() > count_) return false;
+  if (dense_) {
+    for (Tid t : tids) {
+      ++*probed;
+      if (((words_[t >> 6] >> (t & 63)) & 1) == 0) return false;
+    }
+    return true;
+  }
+  // Both sides ascending: each probe searches only past the previous hit.
+  auto from = sparse_.begin();
+  for (Tid t : tids) {
+    ++*probed;
+    from = std::lower_bound(from, sparse_.end(), t);
+    if (from == sparse_.end() || *from != t) return false;
+    ++from;
+  }
+  return true;
 }
 
 std::span<const Tid> TidSet::Tids(std::vector<Tid>* scratch) const {

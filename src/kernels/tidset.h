@@ -44,6 +44,13 @@ class TidSet {
   /// materialize into `scratch` (resized as needed).
   std::span<const Tid> Tids(std::vector<Tid>* scratch) const;
 
+  /// True iff every tid of the sorted duplicate-free list `tids` is in
+  /// this set: the intersection `tids ∩ this` abandoned at its first
+  /// miss. `*probed` receives the number of tids examined (0 when the
+  /// count alone rules containment out). Not counted by the kernel
+  /// counters itself; callers fold `*probed` into their own CountCall.
+  bool ContainsAll(std::span<const Tid> tids, std::size_t* probed) const;
+
   /// result = a ∩ b, reusing `result`'s buffers (no allocation once
   /// warm). `result` must not alias `a` or `b`. Both operands must share
   /// the same universe.

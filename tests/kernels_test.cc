@@ -304,6 +304,40 @@ TEST(TidSetTest, IntersectAgreesWithReferenceAcrossAllRepresentationPairs) {
   }
 }
 
+TEST(TidSetTest, ContainsAllAgreesWithReferenceOnBothRepresentations) {
+  const Tid universe = 2048;
+  std::mt19937 rng(31);
+  for (const std::size_t size : {std::size_t{1}, std::size_t{40},
+                                 std::size_t{64}, std::size_t{1500}}) {
+    const std::vector<Tid> column = SortedUnique(rng, size, universe - 1);
+    const TidSet set = TidSet::FromSorted(column, universe);
+    // Subsets of the column (contained), and subsets with one foreign
+    // tid inserted at each end and in the middle (not contained).
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<Tid> probe;
+      for (Tid t : column) {
+        if (rng() % 3 == 0) probe.push_back(t);
+      }
+      std::size_t probed = 0;
+      EXPECT_TRUE(set.ContainsAll(probe, &probed)) << "size " << size;
+      EXPECT_EQ(probed, probe.size());
+      const Tid foreign = static_cast<Tid>(rng() % universe);
+      if (std::binary_search(column.begin(), column.end(), foreign)) continue;
+      probe.insert(std::lower_bound(probe.begin(), probe.end(), foreign),
+                   foreign);
+      EXPECT_FALSE(set.ContainsAll(probe, &probed))
+          << "size " << size << " dense " << set.dense() << " foreign "
+          << foreign;
+      EXPECT_LE(probed, probe.size());
+    }
+  }
+  std::size_t probed = 1;
+  const TidSet small = TidSet::FromSorted({3, 9}, universe);
+  EXPECT_FALSE(small.ContainsAll(std::vector<Tid>{3, 5, 9}, &probed));
+  EXPECT_EQ(probed, 0u) << "more tids than the set holds: no probe needed";
+  EXPECT_TRUE(small.ContainsAll({}, &probed));
+}
+
 TEST(TidSetTest, ConversionBoundaryFuzz) {
   // Fuzz seeds pinned around the density boundary: repeated intersections
   // must stay exact while results convert dense->sparse and operands mix

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -20,6 +21,7 @@
 #include "carpenter/repository.h"
 #include "data/generators.h"
 #include "data/transaction_database.h"
+#include "enumeration/lcm.h"
 #include "ista/ista.h"
 #include "ista/prefix_tree.h"
 #include "kernels/tidset.h"
@@ -225,6 +227,83 @@ TEST(MemProfileTest, SelfMeasurementMatchesDomainLiveBytes) {
   // Frees are attributed to the allocating domain: the domain returns
   // to its starting live count no matter where the delete ran.
   EXPECT_EQ(domain_live(obs::MemDomain::kIstaTree), before);
+}
+
+// LCM records what its core allocates: the recoded rows, the weighted
+// (duplicate-merged) database, its vertical view and the per-depth
+// occurrence buckets.
+void MineLcmRecording(const TransactionDatabase& db, MemoryBreakdown* memory,
+                      const std::function<void()>& on_set = [] {}) {
+  LcmOptions options;
+  options.min_support = 6;
+  options.memory = memory;
+  std::size_t sets = 0;
+  EXPECT_TRUE(MineClosedLcm(db, options,
+                            [&](std::span<const ItemId>, Support) {
+                              ++sets;
+                              on_set();
+                            })
+                  .ok());
+  EXPECT_GT(sets, 0u);
+}
+
+TransactionDatabase LcmMemoryInput() {
+  MarketBasketConfig config;
+  config.num_items = 60;
+  config.num_transactions = 3000;
+  config.avg_transaction_size = 3.0;
+  config.num_patterns = 12;
+  config.seed = 17;
+  return GenerateMarketBasket(config);
+}
+
+TEST(LcmMemoryTest, RecordsTheReducedCoreComponents) {
+  MemoryBreakdown memory;
+  MineLcmRecording(LcmMemoryInput(), &memory);
+  std::set<std::string> names;
+  for (const auto& component : memory.Components()) {
+    names.insert(component.name);
+    EXPECT_GT(component.TotalBytes(), 0u) << component.name;
+  }
+  EXPECT_EQ(names, (std::set<std::string>{"recoded-db", "weighted-db",
+                                          "vertical-view",
+                                          "occurrence-buckets"}));
+}
+
+// Ground truth: every structure the core keeps is allocated in the
+// caller's domain (the recoded rows go to kRecode and are freed after
+// the reduction), so the kMine bytes live while sets are emitted must be
+// what weighted-db + vertical-view + occurrence-buckets account for —
+// up to the decoding callback's small copies and the breakdown's own
+// records.
+TEST(LcmMemoryTest, ComponentsMatchDomainLiveBytes) {
+  if (!obs::MemProfileCompiled()) {
+    GTEST_SKIP() << "FIM_MEM_PROFILE not compiled in";
+  }
+  const TransactionDatabase db = LcmMemoryInput();
+  const auto mine_live = [] {
+    return obs::SnapshotMemProfile()
+        .domains[static_cast<std::size_t>(obs::MemDomain::kMine)]
+        .live_bytes;
+  };
+  obs::MemDomainScope scope(obs::MemDomain::kMine);
+  const std::uint64_t before = mine_live();
+  {
+    std::uint64_t tracked = 0;
+    MemoryBreakdown memory;
+    MineLcmRecording(db, &memory, [&] {
+      tracked = std::max(tracked, mine_live() - before);
+    });
+    std::size_t measured = 0;
+    for (const auto& component : memory.Components()) {
+      if (component.name != "recoded-db") measured += component.TotalBytes();
+    }
+    EXPECT_LE(tracked, measured + 4096)
+        << "measured " << measured << " vs tracked " << tracked;
+    EXPECT_GE(tracked, measured * 8 / 10)
+        << "measured " << measured << " vs tracked " << tracked;
+  }
+  EXPECT_EQ(mine_live(), before) << "the run leaked kMine bytes";
 }
 
 TEST(MemProfileTest, ScopeNestingRestoresPreviousTag) {

@@ -45,6 +45,27 @@ TEST(ParallelLcmTest, IdenticalOnStructuredData) {
   EXPECT_FALSE(sequential.empty());
 }
 
+TEST(ParallelLcmTest, IdenticalOnTallDuplicateHeavyData) {
+  // Many rows over few items: the reduced database merges most of them,
+  // and the first-level buckets the workers share hold merged rows.
+  MarketBasketConfig config;
+  config.num_items = 40;
+  config.num_transactions = 20000;
+  config.avg_transaction_size = 1.0;
+  config.num_patterns = 8;
+  config.avg_pattern_size = 5;
+  config.pattern_probability = 1.0;
+  config.pattern_keep_probability = 0.9;
+  config.seed = 5;
+  const TransactionDatabase db = GenerateMarketBasket(config);
+  const auto sequential = MineWith(db, 20, 1);
+  ASSERT_GT(sequential.size(), 10u);
+  for (unsigned threads : {2u, 4u, 8u}) {
+    EXPECT_EQ(sequential, MineWith(db, 20, threads))
+        << threads << " threads";
+  }
+}
+
 TEST(ParallelLcmTest, MoreThreadsThanTasks) {
   const TransactionDatabase db =
       TransactionDatabase::FromTransactions({{0, 1}, {0, 1}, {2}});
