@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "api/miner.h"
 #include "data/profiles.h"
 #include "verify/closedness.h"
@@ -18,6 +20,10 @@ struct ProfileCase {
   double scale;
   Support min_support;
 };
+
+// Without this gtest prints the raw bytes of the case, pointers included,
+// so the listed test names would change from run to run under ASLR.
+void PrintTo(const ProfileCase& c, std::ostream* os) { *os << c.name; }
 
 class ProfileEquivalenceTest : public ::testing::TestWithParam<ProfileCase> {
 };
