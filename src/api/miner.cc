@@ -70,9 +70,7 @@ Status MineClosedDispatch(const TransactionDatabase& db,
       ista.item_order = options.item_order;
       ista.transaction_order = options.transaction_order;
       ista.item_elimination = options.item_elimination;
-      ista.num_threads = options.num_threads;
       ista.timeline = options.timeline;
-      ista.perf_domains = options.perf_domains;
       ista.memory = options.memory;
       return MineClosedIsta(db, ista, callback, stats, trace);
     }
@@ -152,7 +150,7 @@ Status MineClosed(const TransactionDatabase& db, const MinerOptions& options,
   // returning, so all thread-local kernel counters are quiescent.
   const kernels::CounterSnapshot before = kernels::Counters();
   // Allocations of the driving thread during the mine are tagged kMine;
-  // IsTa's shard/merge workers open their own kIstaTree scopes.
+  // IsTa opens its own kIstaTree scope around the repository.
   obs::MemDomainScope mem_domain(obs::MemDomain::kMine);
   const Status status = MineClosedDispatch(db, options, callback, stats, trace);
   if (stats != nullptr) {

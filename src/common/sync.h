@@ -93,14 +93,9 @@ enum class LockRank : std::uint32_t {
   /// only while splicing a TLS block in/out or summing a snapshot.
   kKernelCounters = 350,
 
-  /// obs::PerfDomainCollector::mutex_ — per-domain hardware-counter
-  /// sample appends from worker threads. A leaf: Record copies one
-  /// sample into a vector and takes no other lock.
-  kPerfDomains = 375,
-
   /// obs::MemoryBreakdown::mutex_ — memory-component snapshot records
-  /// from miners and tools. A leaf like the perf-domain collector:
-  /// Record merges one component tree and takes no other lock.
+  /// from miners and tools. A leaf: Record merges one component tree and
+  /// takes no other lock.
   kMemoryBreakdown = 390,
 
   /// MetricRegistry::mutex_ — name -> metric lookup. A leaf: increments

@@ -1,9 +1,6 @@
 #include "data/recode.h"
 
 #include <algorithm>
-#include <numeric>
-#include <string>
-#include <thread>
 
 #include "obs/memory.h"
 #include "obs/timeline.h"
@@ -62,14 +59,10 @@ bool DescendingLexLess(const std::vector<ItemId>& a,
   return a.size() < b.size();
 }
 
-}  // namespace
-
-namespace {
-
-// Maps the transactions of [begin, end) through the recoding, dropping
-// eliminated items and empty results; relative order is preserved.
-std::vector<std::vector<ItemId>> MapChunk(
-    std::span<const std::vector<ItemId>> transactions,
+// Maps the transactions through the recoding, dropping eliminated items
+// and empty results; relative order is preserved.
+std::vector<std::vector<ItemId>> MapTransactions(
+    const std::vector<std::vector<ItemId>>& transactions,
     const Recoding& recoding) {
   std::vector<std::vector<ItemId>> mapped;
   mapped.reserve(transactions.size());
@@ -89,67 +82,6 @@ std::vector<std::vector<ItemId>> MapChunk(
   return mapped;
 }
 
-// Stable sort of `mapped` under `less` on `num_chunks` threads: each chunk
-// is stable-sorted privately, then adjacent runs are joined with
-// std::inplace_merge (stable, left run first on ties). Stability plus a
-// fixed comparator determine the output uniquely, so the result is
-// identical to a sequential std::stable_sort.
-void ParallelStableSort(
-    std::vector<std::vector<ItemId>>* mapped, std::size_t num_chunks,
-    bool (*less)(const std::vector<ItemId>&, const std::vector<ItemId>&),
-    obs::Timeline* timeline) {
-  num_chunks = std::min(num_chunks, std::max<std::size_t>(mapped->size(), 1));
-  if (num_chunks <= 1) {
-    obs::TimelineScope sort_scope(
-        timeline != nullptr ? timeline->driver() : nullptr, "sort");
-    std::stable_sort(mapped->begin(), mapped->end(), less);
-    return;
-  }
-  std::vector<std::size_t> bounds(num_chunks + 1);
-  for (std::size_t c = 0; c <= num_chunks; ++c) {
-    bounds[c] = c * mapped->size() / num_chunks;
-  }
-  {
-    std::vector<std::thread> workers;
-    workers.reserve(num_chunks);
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      workers.emplace_back([mapped, &bounds, less, timeline, c]() {
-        obs::MemDomainScope worker_mem_domain(obs::MemDomain::kRecode);
-        obs::TimelineLane* wlane =
-            timeline != nullptr
-                ? timeline->AddLane("recode-sort-" + std::to_string(c))
-                : nullptr;
-        obs::TimelineScope sort_scope(wlane, "sort-chunk");
-        std::stable_sort(mapped->begin() + bounds[c],
-                         mapped->begin() + bounds[c + 1], less);
-      });
-    }
-    for (auto& worker : workers) worker.join();
-  }
-  for (std::size_t stride = 1; stride < num_chunks; stride *= 2) {
-    std::vector<std::thread> mergers;
-    for (std::size_t c = 0; c + stride < num_chunks; c += 2 * stride) {
-      mergers.emplace_back(
-          [mapped, &bounds, less, timeline, c, stride, num_chunks]() {
-            obs::MemDomainScope merger_mem_domain(obs::MemDomain::kRecode);
-            obs::TimelineLane* mlane =
-                timeline != nullptr
-                    ? timeline->AddLane("recode-merge-" +
-                                        std::to_string(stride) + "-" +
-                                        std::to_string(c))
-                    : nullptr;
-            obs::TimelineScope merge_scope(mlane, "merge-runs");
-            std::inplace_merge(
-                mapped->begin() + bounds[c],
-                mapped->begin() + bounds[c + stride],
-                mapped->begin() + bounds[std::min(c + 2 * stride, num_chunks)],
-                less);
-          });
-    }
-    for (auto& merger : mergers) merger.join();
-  }
-}
-
 bool SizeAscendingLess(const std::vector<ItemId>& a,
                        const std::vector<ItemId>& b) {
   if (a.size() != b.size()) return a.size() < b.size();
@@ -167,56 +99,21 @@ bool SizeDescendingLess(const std::vector<ItemId>& a,
 TransactionDatabase ApplyRecoding(const TransactionDatabase& db,
                                   const Recoding& recoding,
                                   TransactionOrder transaction_order,
-                                  unsigned num_threads,
                                   obs::Timeline* timeline) {
   obs::MemDomainScope mem_domain(obs::MemDomain::kRecode);
-  const auto& transactions = db.transactions();
-  const std::size_t num_chunks = std::max<std::size_t>(
-      std::min<std::size_t>(num_threads, transactions.size()), 1);
-
+  obs::TimelineLane* const lane =
+      timeline != nullptr ? timeline->driver() : nullptr;
   std::vector<std::vector<ItemId>> mapped;
-  if (num_chunks <= 1) {
-    obs::TimelineScope map_scope(
-        timeline != nullptr ? timeline->driver() : nullptr, "map");
-    mapped = MapChunk(transactions, recoding);
-  } else {
-    // Map disjoint chunks concurrently, then splice them back together in
-    // order; the concatenation sees exactly the sequential mapping.
-    std::vector<std::vector<std::vector<ItemId>>> chunks(num_chunks);
-    std::vector<std::thread> workers;
-    workers.reserve(num_chunks);
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      workers.emplace_back([&, c]() {
-        obs::MemDomainScope worker_mem_domain(obs::MemDomain::kRecode);
-        obs::TimelineLane* wlane =
-            timeline != nullptr
-                ? timeline->AddLane("recode-map-" + std::to_string(c))
-                : nullptr;
-        obs::TimelineScope map_scope(wlane, "map-chunk");
-        const std::size_t begin = c * transactions.size() / num_chunks;
-        const std::size_t end = (c + 1) * transactions.size() / num_chunks;
-        chunks[c] = MapChunk(
-            std::span(transactions).subspan(begin, end - begin), recoding);
-      });
-    }
-    for (auto& worker : workers) worker.join();
-    std::size_t total = 0;
-    for (const auto& chunk : chunks) total += chunk.size();
-    mapped.reserve(total);
-    for (auto& chunk : chunks) {
-      for (auto& t : chunk) mapped.push_back(std::move(t));
-    }
+  {
+    obs::TimelineScope map_scope(lane, "map");
+    mapped = MapTransactions(db.transactions(), recoding);
   }
-
-  switch (transaction_order) {
-    case TransactionOrder::kNone:
-      break;
-    case TransactionOrder::kSizeAscending:
-      ParallelStableSort(&mapped, num_chunks, SizeAscendingLess, timeline);
-      break;
-    case TransactionOrder::kSizeDescending:
-      ParallelStableSort(&mapped, num_chunks, SizeDescendingLess, timeline);
-      break;
+  if (transaction_order != TransactionOrder::kNone) {
+    obs::TimelineScope sort_scope(lane, "sort");
+    std::stable_sort(mapped.begin(), mapped.end(),
+                     transaction_order == TransactionOrder::kSizeAscending
+                         ? SizeAscendingLess
+                         : SizeDescendingLess);
   }
 
   TransactionDatabase out;

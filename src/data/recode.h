@@ -52,19 +52,12 @@ Recoding ComputeRecoding(const TransactionDatabase& db, ItemOrder order,
 /// transactions are ordered lexicographically on their descending item
 /// sequence, as in the paper.
 ///
-/// With `num_threads` > 1 the mapping and the reordering run on that many
-/// worker threads (chunked mapping, then a stable parallel merge sort).
-/// A stable sort's output is uniquely determined by the comparator and the
-/// input order, so the result is identical to the sequential one for every
-/// thread count.
-///
-/// `timeline` (optional, obs/timeline.h) gives each worker thread its own
-/// event lane ("recode-map-N", "recode-sort-N", "recode-merge-..."); the
-/// recorded events never affect the result.
+/// `timeline` (optional, obs/timeline.h) receives the "map" and "sort"
+/// events on its driver lane; the recorded events never affect the
+/// result.
 TransactionDatabase ApplyRecoding(const TransactionDatabase& db,
                                   const Recoding& recoding,
                                   TransactionOrder transaction_order,
-                                  unsigned num_threads = 1,
                                   obs::Timeline* timeline = nullptr);
 
 /// Maps mined item codes back to original item ids (sorted ascending).

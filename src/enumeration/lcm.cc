@@ -365,7 +365,7 @@ Status MineClosedLcm(const TransactionDatabase& db, const LcmOptions& options,
   // coded rows are dropped once merged.
   const ReducedDatabase reduced = [&] {
     const TransactionDatabase coded = ApplyRecoding(
-        db, recoding, TransactionOrder::kSizeAscending, options.num_threads);
+        db, recoding, TransactionOrder::kSizeAscending);
     if (options.memory != nullptr) {
       obs::MemoryComponent coded_db = coded.ApproxMemoryUsage();
       coded_db.name = "recoded-db";

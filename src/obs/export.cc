@@ -29,7 +29,7 @@ void CountOrNull(JsonWriter* writer, std::uint64_t value, unsigned mask,
 }
 
 /// The event counters + derived rates of one PerfCounts, as the body of
-/// an open JSON object (shared by the totals, spans and domain rows).
+/// an open JSON object (shared by the totals and the spans).
 void AppendPerfCountsFields(const PerfCounts& counts, JsonWriter* writer) {
   const unsigned mask = counts.opened_mask;
   writer->Key("cycles");
@@ -104,25 +104,6 @@ void AppendPerfJson(const PerfReport& perf, JsonWriter* writer) {
   } else {
     writer->Null();
   }
-  writer->Key("domains");
-  writer->BeginArray();
-  for (const auto& domain : perf.domains) {
-    writer->BeginObject();
-    writer->Key("name");
-    writer->String(domain.name);
-    writer->Key("work_steps");
-    writer->Number(domain.work_steps);
-    writer->Key("cpu_seconds");
-    writer->Number(domain.cpu_seconds);
-    if (domain.hw_valid) {
-      AppendPerfCountsFields(domain.counts, writer);
-    } else {
-      writer->Key("cycles");
-      writer->Null();
-    }
-    writer->EndObject();
-  }
-  writer->EndArray();
   writer->EndObject();
 }
 
@@ -158,27 +139,6 @@ void AppendPerfText(const PerfReport& perf, std::string* out) {
                   static_cast<unsigned long long>(
                       perf.rusage.involuntary_ctx_switches));
     out->append(line);
-  }
-  if (!perf.domains.empty()) {
-    out->append("  perf domains:\n");
-    for (const auto& domain : perf.domains) {
-      if (domain.hw_valid) {
-        std::snprintf(
-            line, sizeof(line),
-            "    %-20s %12llu steps  %8.3fs cpu  %.2e cyc  ipc %.2f\n",
-            domain.name.c_str(),
-            static_cast<unsigned long long>(domain.work_steps),
-            domain.cpu_seconds, static_cast<double>(domain.counts.cycles),
-            domain.counts.Ipc());
-      } else {
-        std::snprintf(line, sizeof(line),
-                      "    %-20s %12llu steps  %8.3fs cpu\n",
-                      domain.name.c_str(),
-                      static_cast<unsigned long long>(domain.work_steps),
-                      domain.cpu_seconds);
-      }
-      out->append(line);
-    }
   }
 }
 

@@ -72,9 +72,7 @@ std::string RenderStatsText(const StatsReport& report);
 ///                   "minor_faults": N, "major_faults": N,
 ///                   "voluntary_ctx_switches": N,
 ///                   "involuntary_ctx_switches": N,
-///                   "peak_rss_bytes": N|null },
-///       "domains": [ { "name": "shard-0", "work_steps": N,
-///                      "cpu_seconds": F, "cycles": N|null, ... } ]
+///                   "peak_rss_bytes": N|null }
 ///     },
 ///     "memory": {                                 // with --mem-stats
 ///       "accounted_bytes": N, "high_water_bytes": N,

@@ -19,7 +19,7 @@
 //  * **Allocation domains** (compiled in under FIM_MEM_PROFILE only):
 //    replacement operator new/delete count every allocation's bytes
 //    into the calling thread's current MemDomain tag (a thread_local
-//    set by MemDomainScope, modeled on PerfDomainScope from obs/perf.h).
+//    set by MemDomainScope).
 //    Each block carries a small header recording its size and domain,
 //    so frees are attributed to the *allocating* domain no matter which
 //    thread or phase releases the memory — live-byte counts are exact,
@@ -30,8 +30,8 @@
 // The allocator-counted domain totals are the ground truth the
 // self-measured component sums are tested against (accounting
 // exactness, tests/memory_test.cc); the component trees are what ships
-// in every build and feeds the `memory` stats section, fim-prof
-// --memory and the bench reports.
+// in every build and feeds the `memory` stats section, fim-prof and
+// the bench reports.
 
 #include <array>
 #include <cstddef>
@@ -67,9 +67,8 @@ struct MemoryComponent {
 /// to miners via MinerOptions::memory (and the per-family options).
 ///
 /// Re-recording a name keeps whichever snapshot has the larger total —
-/// high-water semantics, so a breakdown recorded both after the shard
-/// phase (all shard trees alive) and after the merge reduction (one
-/// large tree) reports the layout of the bigger moment. AccountedBytes
+/// high-water semantics, so a structure recorded at several moments
+/// reports the layout of the biggest one. AccountedBytes
 /// additionally tracks the high-water of the *sum* across components
 /// over all record points.
 class MemoryBreakdown {
@@ -117,7 +116,7 @@ enum class MemDomain : unsigned {
   kUntagged = 0,  // allocations outside any scope (startup, libstdc++)
   kReader,        // FIMI/binary readers and their line buffers
   kRecode,        // recoding: the coded database and order scratch
-  kIstaTree,      // IsTa prefix trees (shard mining and merges)
+  kIstaTree,      // IsTa prefix trees
   kMine,          // the other miner families (tid lists, matrices, ...)
   kStream,        // StreamMiner ingest/seal/query
   kCheckpoint,    // checkpoint serialization buffers
@@ -170,8 +169,7 @@ MemProfileSnapshot SnapshotMemProfile();
 /// Tags every allocation of the current thread with `domain` for the
 /// scope's lifetime (nesting restores the previous tag). A no-op
 /// without FIM_MEM_PROFILE. Worker threads do not inherit the spawning
-/// thread's tag — open a scope inside the worker, next to its
-/// PerfDomainScope.
+/// thread's tag — open a scope inside the worker.
 class MemDomainScope {
  public:
 #ifdef FIM_MEM_PROFILE

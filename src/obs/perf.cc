@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
-#include <utility>
 
 #if defined(__linux__)
 #include <linux/perf_event.h>
@@ -294,41 +293,6 @@ ResourceUsage ReadResourceUsage() {
   usage.involuntary_ctx_switches = static_cast<std::uint64_t>(ru.ru_nivcsw);
 #endif
   return usage;
-}
-
-void PerfDomainCollector::Record(PerfDomainSample sample) {
-  MutexLock lock(mutex_);
-  samples_.push_back(std::move(sample));
-}
-
-std::vector<PerfDomainSample> PerfDomainCollector::Samples() const {
-  MutexLock lock(mutex_);
-  return samples_;
-}
-
-PerfDomainScope::PerfDomainScope(PerfDomainCollector* collector,
-                                 std::string name)
-    : collector_(collector), name_(std::move(name)) {
-  if (collector_ == nullptr) return;
-  if (collector_->hw_enabled()) {
-    counters_ = std::make_unique<PerfCounterSet>();
-    counters_->Start();  // no-op when unavailable
-  }
-  cpu_.Reset();
-}
-
-PerfDomainScope::~PerfDomainScope() {
-  if (collector_ == nullptr) return;
-  PerfDomainSample sample;
-  sample.name = std::move(name_);
-  sample.cpu_seconds = cpu_.Seconds();
-  sample.work_steps = work_steps_;
-  if (counters_ != nullptr && counters_->available()) {
-    counters_->Stop();
-    sample.counts = counters_->Read();
-    sample.hw_valid = true;
-  }
-  collector_->Record(std::move(sample));
 }
 
 }  // namespace fim::obs

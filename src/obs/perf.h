@@ -20,11 +20,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "common/sync.h"
 #include "common/timer.h"
 
 namespace fim::obs {
@@ -165,69 +162,9 @@ struct ResourceUsage {
 
 ResourceUsage ReadResourceUsage();
 
-/// One attributed measurement domain: a named stretch of one thread's
-/// work (an IsTa shard, a merge step) with its hardware delta (when
-/// counting worked), its thread-CPU fallback, and the software work
-/// counter the fim-prof inflation table divides by.
-struct PerfDomainSample {
-  std::string name;
-  bool hw_valid = false;  // counts came from a working PerfCounterSet
-  PerfCounts counts;
-  double cpu_seconds = 0.0;      // thread CPU, always measured
-  std::uint64_t work_steps = 0;  // e.g. intersection steps in the domain
-};
-
-/// Thread-safe sink for PerfDomainSamples, shared by all workers of a
-/// run. hw_enabled() tells scopes whether to open counter sets at all
-/// (so `--stats` without `--perf-counters` costs nothing).
-class PerfDomainCollector {
- public:
-  explicit PerfDomainCollector(bool enable_hw) : enable_hw_(enable_hw) {}
-
-  PerfDomainCollector(const PerfDomainCollector&) = delete;
-  PerfDomainCollector& operator=(const PerfDomainCollector&) = delete;
-
-  bool hw_enabled() const { return enable_hw_; }
-
-  void Record(PerfDomainSample sample) FIM_EXCLUDES(mutex_);
-
-  /// Samples in recording order. Call after the recording threads have
-  /// quiesced (the miners join their workers before reporting).
-  std::vector<PerfDomainSample> Samples() const FIM_EXCLUDES(mutex_);
-
- private:
-  const bool enable_hw_;
-  mutable Mutex mutex_{LockRank::kPerfDomains, "PerfDomainCollector"};
-  std::vector<PerfDomainSample> samples_ FIM_GUARDED_BY(mutex_);
-};
-
-/// RAII domain measurement: opens a counter set on the constructing
-/// thread (when the collector wants hardware counts), times thread CPU,
-/// and records one PerfDomainSample on destruction. A nullptr collector
-/// makes the scope a no-op, mirroring Span/TimelineScope.
-class PerfDomainScope {
- public:
-  PerfDomainScope(PerfDomainCollector* collector, std::string name);
-  ~PerfDomainScope();
-
-  PerfDomainScope(const PerfDomainScope&) = delete;
-  PerfDomainScope& operator=(const PerfDomainScope&) = delete;
-
-  /// Attributes `n` units of software work (intersection steps) to the
-  /// domain; fim-prof divides cycles by this to expose work inflation.
-  void AddWorkSteps(std::uint64_t n) { work_steps_ += n; }
-
- private:
-  PerfDomainCollector* collector_;
-  std::string name_;
-  std::unique_ptr<PerfCounterSet> counters_;  // only when hw_enabled()
-  CpuTimer cpu_;
-  std::uint64_t work_steps_ = 0;
-};
-
 /// The `perf` section of a stats report: availability, whole-run scaled
-/// totals (driver thread), the rusage/RSS fallback tier, the active
-/// kernel tier, and the per-domain attribution table.
+/// totals (driver thread), the rusage/RSS fallback tier and the active
+/// kernel tier.
 struct PerfReport {
   PerfAvailability availability;
   bool total_valid = false;  // `total` came from a working set
@@ -235,7 +172,6 @@ struct PerfReport {
   std::string kernel_tier;  // kernels::Active().name
   ResourceUsage rusage;
   PeakRssResult peak_rss;
-  std::vector<PerfDomainSample> domains;
 };
 
 }  // namespace fim::obs

@@ -22,7 +22,6 @@
 #include "data/generators.h"
 #include "data/transaction_database.h"
 #include "enumeration/lcm.h"
-#include "ista/ista.h"
 #include "ista/prefix_tree.h"
 #include "kernels/tidset.h"
 #include "obs/export.h"
@@ -488,6 +487,8 @@ TEST(MemoryNeutralityTest, BreakdownAttachmentDoesNotChangeResults) {
   }
 }
 
+// IsTa mines one repository at every thread count: the breakdown at
+// four threads holds the single "shard-0" tree.
 TEST(MemoryNeutralityTest, IstaParallelRecordsPerShardTrees) {
   MarketBasketConfig config;
   config.num_items = 40;
@@ -495,23 +496,14 @@ TEST(MemoryNeutralityTest, IstaParallelRecordsPerShardTrees) {
   config.avg_transaction_size = 4.0;
   config.seed = 3;
   const TransactionDatabase db = GenerateMarketBasket(config);
-  IstaOptions options;
-  options.min_support = 3;
-  options.num_threads = 4;
   MemoryBreakdown memory;
-  options.memory = &memory;
-  std::size_t sets = 0;
-  ASSERT_TRUE(MineClosedIsta(db, options,
-                             [&sets](std::span<const ItemId>, Support) {
-                               ++sets;
-                             })
-                  .ok());
-  EXPECT_GT(sets, 0u);
+  EXPECT_FALSE(MineWith(db, Algorithm::kIsta, 4, &memory).empty());
   bool found_trees = false;
   for (const auto& component : memory.Components()) {
     if (component.name == "prefix-trees") {
       found_trees = true;
-      EXPECT_FALSE(component.children.empty());
+      ASSERT_EQ(component.children.size(), 1u);
+      EXPECT_EQ(component.children.front().name, "shard-0");
     }
   }
   EXPECT_TRUE(found_trees);

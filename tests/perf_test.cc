@@ -15,7 +15,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/timer.h"
@@ -214,70 +213,6 @@ TEST(PeakRssTest, KnownResultCarriesBytesAndLegacyAccessorAgrees) {
     EXPECT_EQ(rss.bytes, 0u);
   }
   EXPECT_EQ(PeakRss(), rss.bytes);
-}
-
-// --- domain attribution ------------------------------------------------
-
-TEST(PerfDomainTest, NullCollectorMakesScopesFreeNoOps) {
-  PerfDomainScope scope(nullptr, "ignored");
-  scope.AddWorkSteps(42);
-  // Destruction must not crash or record anywhere.
-}
-
-TEST(PerfDomainTest, ScopeRecordsNameCpuAndWorkSteps) {
-  PerfDomainCollector collector(/*enable_hw=*/false);
-  EXPECT_FALSE(collector.hw_enabled());
-  {
-    PerfDomainScope scope(&collector, "shard-7");
-    scope.AddWorkSteps(100);
-    scope.AddWorkSteps(23);
-  }
-  const std::vector<PerfDomainSample> samples = collector.Samples();
-  ASSERT_EQ(samples.size(), 1u);
-  EXPECT_EQ(samples[0].name, "shard-7");
-  EXPECT_EQ(samples[0].work_steps, 123u);
-  EXPECT_FALSE(samples[0].hw_valid);  // hw disabled: never valid
-  EXPECT_GE(samples[0].cpu_seconds, 0.0);
-}
-
-TEST(PerfDomainTest, HwEnabledScopeDegradesPerHostAvailability) {
-  PerfDomainCollector collector(/*enable_hw=*/true);
-  {
-    PerfDomainScope scope(&collector, "merge-1-0");
-    volatile std::uint64_t sink = 0;
-    for (int i = 0; i < 100000; ++i) {
-      sink = sink + static_cast<std::uint64_t>(i);
-    }
-  }
-  const std::vector<PerfDomainSample> samples = collector.Samples();
-  ASSERT_EQ(samples.size(), 1u);
-  // hw_valid tracks the host: valid counts where the PMU opened,
-  // a clean false (not garbage) where it was denied.
-  if (samples[0].hw_valid) {
-    EXPECT_GT(samples[0].counts.cycles, 0u);
-  } else {
-    EXPECT_EQ(samples[0].counts.opened_mask, 0u);
-  }
-}
-
-TEST(PerfDomainTest, ConcurrentRecordsAllArrive) {
-  PerfDomainCollector collector(/*enable_hw=*/false);
-  constexpr int kThreads = 4;
-  constexpr int kScopesPerThread = 25;
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&collector, t]() {
-      for (int i = 0; i < kScopesPerThread; ++i) {
-        PerfDomainScope scope(&collector,
-                              "shard-" + std::to_string(t));
-        scope.AddWorkSteps(1);
-      }
-    });
-  }
-  for (auto& worker : workers) worker.join();
-  EXPECT_EQ(collector.Samples().size(),
-            static_cast<std::size_t>(kThreads * kScopesPerThread));
 }
 
 // --- Trace + attached counters -----------------------------------------

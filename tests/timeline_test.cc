@@ -356,10 +356,9 @@ TEST(SamplerTest, PeriodicSamplesCarryThroughputDeltas) {
 
 // --- output neutrality ------------------------------------------------
 
-// Recording a timeline must never change the mined output, sequential or
-// parallel. (The --stats/--trace counterpart lives in obs_test.cc; this
-// covers the MinerOptions::timeline path through recoding, the shard
-// workers and the merge reduction.)
+// Recording a timeline must never change the mined output, at any thread
+// count. (The --stats/--trace counterpart lives in obs_test.cc; this
+// covers the MinerOptions::timeline path through recoding and mining.)
 TEST(TimelineNeutralityTest, TimelineOnEqualsTimelineOff) {
   const TransactionDatabase db = GenerateRandomDense(60, 24, 0.3, 123);
   for (unsigned threads : {1u, 4u}) {
@@ -384,11 +383,9 @@ TEST(TimelineNeutralityTest, TimelineOnEqualsTimelineOff) {
           << "t=" << threads << " set " << i;
     }
 
-    // The parallel run fans out into worker and merge lanes; the
-    // exported trace must stay well-formed either way.
-    if (threads > 1) {
-      EXPECT_GT(timeline.NumLanes(), 1u);
-    }
+    // IsTa records on the driver lane only, at every thread count; the
+    // exported trace must stay well-formed.
+    EXPECT_EQ(timeline.NumLanes(), 1u);
     obs::TraceMeta meta;
     meta.tool = "fim-test";
     meta.algorithm = "ista";

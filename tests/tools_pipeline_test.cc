@@ -318,6 +318,7 @@ TEST(ToolsPipelineTest, TraceOutIsValidMultiLaneChromeTrace) {
   const std::string plain_out = TempPath("pipeline_trace_plain.txt");
   const std::string traced_out = TempPath("pipeline_trace_result.txt");
   const std::string trace = TempPath("pipeline_trace.json");
+  const std::string stacks = TempPath("pipeline_trace_stacks.txt");
 
   ASSERT_EQ(RunCmd(std::string(FIM_GEN_BINARY) + " -p basket -c 0.02 -r 41 " +
                    data + " 2>/dev/null"),
@@ -326,7 +327,8 @@ TEST(ToolsPipelineTest, TraceOutIsValidMultiLaneChromeTrace) {
                    " " + plain_out),
             0);
   ASSERT_EQ(RunCmd(std::string(FIM_MINE_BINARY) + " -q -s 5 -t 4 " +
-                   "--trace-out=" + trace + " " + data + " " + traced_out),
+                   "--trace-out=" + trace + " --profile=" + stacks + " " +
+                   data + " " + traced_out + " 2>/dev/null"),
             0);
 
   // Output neutrality end to end: tracing never changes the result.
@@ -337,7 +339,7 @@ TEST(ToolsPipelineTest, TraceOutIsValidMultiLaneChromeTrace) {
   ASSERT_FALSE(plain.value().empty());
   EXPECT_TRUE(SameResults(plain.value(), traced.value()));
 
-  // A 4-thread run fans into worker/merge lanes: more than one tid.
+  // The profiler lane joins the driver lane: more than one tid.
   EXPECT_GT(CheckChromeTraceFile(trace), 1u);
 }
 
@@ -570,27 +572,18 @@ TEST(ToolsPipelineTest, ProfilingIsOutputNeutralAndReportsPerfSection) {
     ASSERT_NE(rusage, nullptr);
     ASSERT_TRUE(rusage->is_object());
     EXPECT_GT(rusage->Find("peak_rss_bytes")->AsNumber(), 0.0);
-    // Domain attribution: one sample per shard (plus merge stages at 4
-    // threads), each carrying its software work counter.
-    const obs::JsonValue* domains = perf->Find("domains");
-    ASSERT_NE(domains, nullptr);
-    ASSERT_TRUE(domains->is_array());
-    std::size_t shards = 0;
-    for (const obs::JsonValue& domain : domains->AsArray()) {
-      const std::string name = domain.Find("name")->AsString();
-      if (name.rfind("shard-", 0) == 0) ++shards;
-      ASSERT_NE(domain.Find("work_steps"), nullptr) << name;
-    }
-    EXPECT_EQ(shards, static_cast<std::size_t>(threads));
-
-    // fim-prof renders the work-inflation table from that report.
-    EXPECT_EQ(ExitCode(std::string(FIM_PROF_BINARY) + " " + stats +
-                       " >/dev/null 2>&1"),
-              0);
   }
 
-  // A report taken without --perf-counters has no perf section and
-  // fim-prof refuses it with a pointed error (exit 1).
+  // fim-prof renders the memory section of a --mem-stats report and
+  // refuses a report without one with a pointed error (exit 1).
+  const std::string mem_stats = TempPath("pipeline_prof_mem.json");
+  ASSERT_EQ(RunCmd(std::string(FIM_MINE_BINARY) + " -q -s 5 --mem-stats " +
+                   "--stats=json --stats-out=" + mem_stats + " " + data +
+                   " /dev/null"),
+            0);
+  EXPECT_EQ(ExitCode(std::string(FIM_PROF_BINARY) + " " + mem_stats +
+                     " >/dev/null 2>&1"),
+            0);
   const std::string bare_stats = TempPath("pipeline_prof_bare.json");
   ASSERT_EQ(RunCmd(std::string(FIM_MINE_BINARY) + " -q -s 5 --stats=json " +
                    "--stats-out=" + bare_stats + " " + data + " /dev/null"),

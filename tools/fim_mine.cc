@@ -11,8 +11,9 @@
 //             fpclose | lcm | charm | transposed | cobbler (default: ista)
 //   -s N      absolute minimum support            (default: 2)
 //   -S P      relative minimum support in percent (overrides -s)
-//   -t N      worker threads for ista / lcm; output is identical to the
-//             sequential run                      (default: 1)
+//   -t N      worker threads for lcm; output is identical to the
+//             sequential run. Every other algorithm, ista included,
+//             runs on one thread and ignores it  (default: 1)
 //   -m        report only maximal frequent item sets
 //   -q        quiet: no stats on stderr
 //   --kernel=NAME
@@ -29,14 +30,14 @@
 //   --stats-out=PATH
 //             write the stats report to PATH instead of stderr
 //   --trace-out=PATH
-//             record a per-thread event timeline (driver phases plus one
-//             lane per IsTa shard/merge/recode worker) and write it as
-//             Chrome trace-event JSON to PATH — load in chrome://tracing
-//             or https://ui.perfetto.dev
+//             record an event timeline (the driver's mining phases, plus
+//             a "profiler" lane under --profile) and write it as Chrome
+//             trace-event JSON to PATH — load in chrome://tracing or
+//             https://ui.perfetto.dev
 //   --perf-counters
 //             measure hardware counters (cycles, instructions, LLC/L1d
 //             and branch misses via perf_event_open) over the run and
-//             per phase/shard, and add the `perf` section to the stats
+//             per phase, and add the `perf` section to the stats
 //             report (implies --stats). Where the kernel denies the PMU
 //             the run still succeeds and the section carries an explicit
 //             unavailable reason plus the rusage fallback.
@@ -208,7 +209,6 @@ int main(int argc, char** argv) {
   options.min_support = min_support;
   options.num_threads = num_threads;
   options.timeline = timeline.get();
-  options.perf_domains = perf_session.domains();
   options.memory = mem_session.breakdown();
 
   std::ofstream file_out;

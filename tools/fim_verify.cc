@@ -204,7 +204,6 @@ int main(int argc, char** argv) {
   tools::PerfSession perf_session;
   perf_session.Start(obs_flags, want_stats ? &trace : nullptr,
                      timeline.get());
-  options.perf_domains = perf_session.domains();
   tools::MemSession mem_session(obs_flags);
   options.memory = mem_session.breakdown();
   auto expected = MineClosedCollect(db.value(), options,

@@ -153,8 +153,6 @@ class PerfSession {
       counters_ = std::make_unique<obs::PerfCounterSet>();
       counters_->Start();
       if (trace != nullptr) trace->AttachPerfCounters(counters_.get());
-      collector_ = std::make_unique<obs::PerfDomainCollector>(
-          counters_->available());
     }
     if (flags.profile) {
       obs::ProfilerOptions options;
@@ -166,10 +164,6 @@ class PerfSession {
       }
     }
   }
-
-  /// The per-domain collector for MinerOptions/IstaOptions::perf_domains
-  /// (nullptr without --perf-counters).
-  obs::PerfDomainCollector* domains() { return collector_.get(); }
 
   /// Stops measuring and assembles the `perf` stats section. Returns
   /// nullptr without --perf-counters; the pointer stays valid for the
@@ -186,7 +180,6 @@ class PerfSession {
     report_.kernel_tier = kernels::Active().name;
     report_.rusage = obs::ReadResourceUsage();
     report_.peak_rss = PeakRssBytes();
-    if (collector_ != nullptr) report_.domains = collector_->Samples();
     return &report_;
   }
 
@@ -224,7 +217,6 @@ class PerfSession {
 
  private:
   std::unique_ptr<obs::PerfCounterSet> counters_;
-  std::unique_ptr<obs::PerfDomainCollector> collector_;
   std::unique_ptr<obs::SamplingProfiler> profiler_;
   std::string profiler_error_;
   obs::PerfReport report_;
