@@ -2,7 +2,7 @@
 
 #include "kernels/intersect.h"
 #include "obs/memory.h"
-#include "obs/timeline.h"
+#include "obs/trace.h"
 
 #include "carpenter/carpenter.h"
 #include "carpenter/cobbler.h"
@@ -70,7 +70,6 @@ Status MineClosedDispatch(const TransactionDatabase& db,
       ista.item_order = options.item_order;
       ista.transaction_order = options.transaction_order;
       ista.item_elimination = options.item_elimination;
-      ista.timeline = options.timeline;
       ista.memory = options.memory;
       return MineClosedIsta(db, ista, callback, stats, trace);
     }
@@ -138,12 +137,9 @@ Status MineClosedDispatch(const TransactionDatabase& db,
 Status MineClosed(const TransactionDatabase& db, const MinerOptions& options,
                   const ClosedSetCallback& callback, MinerStats* stats,
                   obs::Trace* trace) {
-  // Every algorithm mines inside one "mine" span (and one "mine"
-  // timeline event pair on the driver lane); IsTa nests its internal
-  // phases below it.
-  obs::TimelineLane* lane =
-      options.timeline != nullptr ? options.timeline->driver() : nullptr;
-  obs::Phase mine_phase(trace, lane, "mine");
+  // Every algorithm mines inside one "mine" span; IsTa nests its
+  // internal phases below it.
+  obs::Span mine_span(trace, "mine");
   // The per-family entry points reset *stats before filling it, so the
   // kernel delta must be applied after the dispatch returns. The
   // snapshots are exact here: every family joins its workers before

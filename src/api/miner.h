@@ -16,7 +16,6 @@ namespace fim {
 
 namespace obs {
 class MemoryBreakdown;
-class Timeline;
 }  // namespace obs
 
 /// All closed-set mining algorithms of the library.
@@ -64,12 +63,6 @@ struct MinerOptions {
   /// and ignores it.
   unsigned num_threads = 1;
 
-  /// Optional event timeline (obs/timeline.h): the driving thread
-  /// records its phases on the timeline's driver lane, so a Chrome-trace
-  /// export shows where the run spent its time. Output-neutral like
-  /// stats/trace. The timeline must outlive the call.
-  obs::Timeline* timeline = nullptr;
-
   /// Optional memory attribution (obs/memory.h): every algorithm
   /// records the self-measured byte breakdown of its major structures
   /// (IsTa prefix trees, tid lists, Carpenter matrices, duplicate
@@ -89,9 +82,10 @@ struct MinerOptions {
 /// docs/OBSERVABILITY.md) plus sets_reported. `trace` (optional)
 /// receives phase spans: a "mine" span for every algorithm, with IsTa's
 /// internal phases (recode, dedup, shard-mine, report) nested
-/// below it. Instrumentation is output-neutral: the mined sets and
-/// their order are bit-identical whether stats/trace are requested or
-/// not, at every thread count.
+/// below it; a timeline lane attached to the trace receives the same
+/// phases as begin/end events. Instrumentation is output-neutral: the
+/// mined sets and their order are bit-identical whether stats/trace
+/// are requested or not, at every thread count.
 Status MineClosed(const TransactionDatabase& db, const MinerOptions& options,
                   const ClosedSetCallback& callback,
                   MinerStats* stats = nullptr, obs::Trace* trace = nullptr);

@@ -78,7 +78,7 @@ namespace fim {
 /// mining) without renumbering.
 enum class LockRank : std::uint32_t {
   /// StreamMiner::mutex_ — seal / rotate / freeze protocol. Lowest rank:
-  /// a miner critical section may bump registry metrics or register
+  /// a miner critical section may record memory components or register
   /// timeline lanes, never the other way around.
   kStreamMiner = 100,
 
@@ -89,18 +89,14 @@ enum class LockRank : std::uint32_t {
   kTimeline = 300,
 
   /// kernels::CounterRegistry mutex — thread-local counter-block
-  /// registration and snapshots. A leaf like the metric registry; held
-  /// only while splicing a TLS block in/out or summing a snapshot.
+  /// registration and snapshots. A leaf: held only while splicing a TLS
+  /// block in/out or summing a snapshot.
   kKernelCounters = 350,
 
   /// obs::MemoryBreakdown::mutex_ — memory-component snapshot records
   /// from miners and tools. A leaf: Record merges one component tree and
   /// takes no other lock.
   kMemoryBreakdown = 390,
-
-  /// MetricRegistry::mutex_ — name -> metric lookup. A leaf: increments
-  /// are atomic and a registry critical section takes no other lock.
-  kMetricRegistry = 400,
 
   /// For tests and tools that need an unordered standalone lock.
   kLeaf = 1000,

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/memory.h"
-#include "obs/timeline.h"
 
 namespace fim {
 
@@ -98,18 +97,11 @@ bool SizeDescendingLess(const std::vector<ItemId>& a,
 
 TransactionDatabase ApplyRecoding(const TransactionDatabase& db,
                                   const Recoding& recoding,
-                                  TransactionOrder transaction_order,
-                                  obs::Timeline* timeline) {
+                                  TransactionOrder transaction_order) {
   obs::MemDomainScope mem_domain(obs::MemDomain::kRecode);
-  obs::TimelineLane* const lane =
-      timeline != nullptr ? timeline->driver() : nullptr;
-  std::vector<std::vector<ItemId>> mapped;
-  {
-    obs::TimelineScope map_scope(lane, "map");
-    mapped = MapTransactions(db.transactions(), recoding);
-  }
+  std::vector<std::vector<ItemId>> mapped =
+      MapTransactions(db.transactions(), recoding);
   if (transaction_order != TransactionOrder::kNone) {
-    obs::TimelineScope sort_scope(lane, "sort");
     std::stable_sort(mapped.begin(), mapped.end(),
                      transaction_order == TransactionOrder::kSizeAscending
                          ? SizeAscendingLess

@@ -9,10 +9,6 @@
 
 namespace fim {
 
-namespace obs {
-class Timeline;
-}  // namespace obs
-
 /// Item code assignment policy (paper §3.4). The intersection miners are
 /// fastest with ascending frequency (the rarest item gets code 0).
 enum class ItemOrder {
@@ -51,14 +47,9 @@ Recoding ComputeRecoding(const TransactionDatabase& db, ItemOrder order,
 /// transactions reordered according to `transaction_order`. Same-size
 /// transactions are ordered lexicographically on their descending item
 /// sequence, as in the paper.
-///
-/// `timeline` (optional, obs/timeline.h) receives the "map" and "sort"
-/// events on its driver lane; the recorded events never affect the
-/// result.
 TransactionDatabase ApplyRecoding(const TransactionDatabase& db,
                                   const Recoding& recoding,
-                                  TransactionOrder transaction_order,
-                                  obs::Timeline* timeline = nullptr);
+                                  TransactionOrder transaction_order);
 
 /// Maps mined item codes back to original item ids (sorted ascending).
 std::vector<ItemId> DecodeItems(std::span<const ItemId> coded,

@@ -6,7 +6,6 @@
 #include "common/check.h"
 #include "ista/prefix_tree.h"
 #include "obs/memory.h"
-#include "obs/timeline.h"
 #include "obs/trace.h"
 
 namespace fim {
@@ -60,19 +59,19 @@ std::vector<WeightedTransaction> BuildWeightedStream(
 /// repository tracks its own peak/prune/isect statistics.
 IstaPrefixTree MineShard(const std::vector<WeightedTransaction>& stream,
                          std::size_t num_items, std::vector<Support> remaining,
-                         const IstaOptions& options, obs::TimelineLane* lane) {
+                         const IstaOptions& options, obs::Trace* trace) {
   IstaPrefixTree tree(num_items);
   std::size_t prune_threshold = options.prune_node_threshold;
   for (const WeightedTransaction& wt : stream) {
     tree.AddTransaction(*wt.items, wt.weight);
     for (ItemId i : *wt.items) remaining[i] -= wt.weight;
     if (options.item_elimination && tree.NodeCount() > prune_threshold) {
-      obs::TimelineScope prune_scope(lane, "prune");
+      obs::Span prune_span(trace, "prune");
       tree.Prune(options.min_support, remaining);
+      prune_span.End();
       prune_threshold = std::max(prune_threshold, 2 * tree.NodeCount());
-      prune_scope.End();
-      if (lane != nullptr) {
-        lane->Counter("nodes", static_cast<double>(tree.NodeCount()));
+      if (trace != nullptr) {
+        trace->Counter("nodes", static_cast<double>(tree.NodeCount()));
       }
     }
   }
@@ -118,33 +117,30 @@ Status MineClosedIsta(const TransactionDatabase& db, const IstaOptions& options,
   // frequent set, order the transactions (paper §3.4).
   const Support min_item_support =
       options.item_elimination ? options.min_support : 1;
-  obs::Timeline* const timeline = options.timeline;
-  obs::TimelineLane* const lane =
-      timeline != nullptr ? timeline->driver() : nullptr;
-  obs::Phase recode_phase(trace, lane, "recode");
+  obs::Span recode_span(trace, "recode");
   const Recoding recoding =
       ComputeRecoding(db, options.item_order, min_item_support);
   const TransactionDatabase coded =
-      ApplyRecoding(db, recoding, options.transaction_order, timeline);
-  recode_phase.End();
+      ApplyRecoding(db, recoding, options.transaction_order);
+  recode_span.End();
   if (coded.NumTransactions() == 0) return Status::OK();
 
-  obs::Phase dedup_phase(trace, lane, "dedup");
+  obs::Span dedup_span(trace, "dedup");
   const std::vector<WeightedTransaction> stream =
       BuildWeightedStream(coded, options.merge_duplicate_transactions);
-  dedup_phase.End();
+  dedup_span.End();
   if (stats != nullptr) stats->weighted_transactions = stream.size();
   RecordPreprocessingMemory(options.memory, coded,
                             stream.capacity() * sizeof(stream[0]));
 
   std::vector<Support> remaining = coded.ItemFrequencies();
-  obs::Phase mine_phase(trace, lane, "shard-mine");
+  obs::Span mine_span(trace, "shard-mine");
   const IstaPrefixTree tree = [&] {
     obs::MemDomainScope mem_domain(obs::MemDomain::kIstaTree);
     return MineShard(stream, coded.NumItems(), std::move(remaining), options,
-                     lane);
+                     trace);
   }();
-  mine_phase.End();
+  mine_span.End();
   FIM_DCHECK_OK(tree.ValidateInvariants());
   if (options.memory != nullptr) {
     obs::MemoryComponent trees("prefix-trees");
@@ -152,7 +148,7 @@ Status MineClosedIsta(const TransactionDatabase& db, const IstaOptions& options,
     trees.children.back().name = "shard-0";
     options.memory->Record(std::move(trees));
   }
-  obs::Phase report_phase(trace, lane, "report");
+  obs::Span report_span(trace, "report");
   ReportWithStats(tree, recoding, options.min_support, callback, stats);
   return Status::OK();
 }

@@ -14,7 +14,6 @@ namespace fim {
 
 namespace obs {
 class MemoryBreakdown;
-class Timeline;
 }  // namespace obs
 
 /// Options of the IsTa miner (cumulative transaction intersection with a
@@ -45,11 +44,6 @@ struct IstaOptions {
   /// win when rows repeat, e.g. on discretized gene-expression data.
   bool merge_duplicate_transactions = true;
 
-  /// Optional event timeline (obs/timeline.h). The phase and prune
-  /// events land on the driver lane. Output-neutral;
-  /// must outlive the call.
-  obs::Timeline* timeline = nullptr;
-
   /// Optional memory attribution (obs/memory.h): records the recoded
   /// database, the weighted stream, the remaining-occurrence table and
   /// the prefix tree before the report. Output-neutral; must outlive the
@@ -69,8 +63,10 @@ struct IstaOptions {
 ///
 /// `stats` (optional) receives the execution statistics; `trace`
 /// (optional) receives the phase spans `recode`, `dedup`, `shard-mine`
-/// and `report`. Both are output-neutral: the mining result is
-/// bit-identical whether they are requested or not.
+/// (with one `prune` child when item elimination pruned the tree) and
+/// `report`, plus a `nodes` counter sample after every prune on an
+/// attached timeline lane. Both are output-neutral: the mining result
+/// is bit-identical whether they are requested or not.
 Status MineClosedIsta(const TransactionDatabase& db, const IstaOptions& options,
                       const ClosedSetCallback& callback,
                       IstaStats* stats = nullptr,

@@ -13,7 +13,6 @@
 #include <cstring>
 
 #include "common/sync.h"
-#include "obs/metrics.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 #define FIM_KERNELS_X86 1
@@ -172,9 +171,6 @@ const IntersectKernel* SelectAtStartup() {
     }
   }
   if (selected == nullptr) selected = BestSupported();
-  obs::MetricRegistry::Global()
-      .GetCounter(std::string("kernels.selected.") + selected->name)
-      .Add(1);
   return selected;
 }
 
@@ -223,9 +219,6 @@ bool ForceKernel(std::string_view name) {
   const IntersectKernel* kernel = FindByName(name);
   if (!Supported(kernel)) return false;
   ActiveSlot().store(kernel, std::memory_order_release);
-  obs::MetricRegistry::Global()
-      .GetCounter(std::string("kernels.selected.") + kernel->name)
-      .Add(1);
   return true;
 }
 

@@ -8,16 +8,12 @@
 
 namespace fim {
 
-namespace obs {
-class MetricRegistry;
-}  // namespace obs
-
 /// The uniform execution-statistics snapshot every miner family fills
 /// (optional output of MineClosed and the per-family entry points).
 /// Fields are plain counters written by the single thread that owns the
-/// respective mining state; parallel drivers keep one instance per
-/// worker and aggregate with MergeFrom at their merge/reduction stage,
-/// so the hot loops never touch shared state. Instrumentation is
+/// respective mining state; a parallel miner (LCM) keeps one instance
+/// per worker and sums them with MergeFrom after the join, so the hot
+/// loops never touch shared state. Instrumentation is
 /// output-neutral: mining results are bit-identical whether a snapshot
 /// is requested or not.
 ///
@@ -28,11 +24,9 @@ struct MinerStats {
   // --- intersection family (IsTa, flat cumulative) ---------------------
   std::size_t isect_steps = 0;     // repository nodes visited / pairwise
                                    // set intersections while intersecting
-  std::size_t peak_nodes = 0;      // max repository size, incl. all
-                                   // workers and merge stages
+  std::size_t peak_nodes = 0;      // max repository size
   std::size_t final_nodes = 0;     // repository size at report time
-  std::size_t prune_calls = 0;     // item-elimination prunes, incl.
-                                   // mid-merge prunes, all workers
+  std::size_t prune_calls = 0;     // item-elimination prunes
   std::size_t merge_calls = 0;     // pairwise repository merges
   std::size_t weighted_transactions = 0;  // stream length after dedup
 
@@ -61,16 +55,13 @@ struct MinerStats {
   std::size_t kernel_elements_in = 0;   // input elements streamed
   std::size_t kernel_elements_out = 0;  // result elements produced
 
-  /// Aggregates a worker's (or merge stage's) snapshot into this one:
-  /// peak_nodes and final_nodes take the maximum, everything else sums.
+  /// Aggregates a worker's snapshot into this one: peak_nodes and
+  /// final_nodes take the maximum, everything else sums.
   void MergeFrom(const MinerStats& other);
 
   /// The full counter catalog as (name, value) pairs in a stable order —
   /// zero entries included, so exports always carry the whole schema.
   std::vector<std::pair<const char*, std::uint64_t>> Counters() const;
-
-  /// Adds every counter into `registry` under "miner.<name>".
-  void ExportTo(obs::MetricRegistry* registry) const;
 };
 
 /// The historical per-family stats names are the same snapshot now;

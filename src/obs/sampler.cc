@@ -193,11 +193,13 @@ void MetricsSampler::EmitSample() {
     writer.EndObject();
   }
 
-  if (options_.registry != nullptr) {
+  if (options_.counters) {
+    const auto counters = options_.counters();
     if (!options_.throughput_counter.empty()) {
-      const auto counters = options_.registry->CounterValues();
-      const auto it = counters.find(options_.throughput_counter);
-      const std::uint64_t value = it == counters.end() ? 0 : it->second;
+      std::uint64_t value = 0;
+      for (const auto& [name, count] : counters) {
+        if (name == options_.throughput_counter) value = count;
+      }
       const double dt = elapsed - last_sample_seconds_;
       const double rate =
           dt > 0.0
@@ -209,34 +211,9 @@ void MetricsSampler::EmitSample() {
     }
     writer.Key("counters");
     writer.BeginObject();
-    for (const auto& [name, value] : options_.registry->CounterValues()) {
+    for (const auto& [name, value] : counters) {
       writer.Key(name);
       writer.Number(value);
-    }
-    writer.EndObject();
-    writer.Key("distributions");
-    writer.BeginObject();
-    for (const auto& [name, snapshot] :
-         options_.registry->DistributionValues()) {
-      writer.Key(name);
-      writer.BeginObject();
-      writer.Key("count");
-      writer.Number(snapshot.count);
-      writer.Key("sum");
-      writer.Number(snapshot.sum);
-      writer.Key("min");
-      writer.Number(snapshot.min);
-      writer.Key("max");
-      writer.Number(snapshot.max);
-      writer.Key("mean");
-      writer.Number(snapshot.Mean());
-      writer.Key("p50");
-      writer.Number(snapshot.Quantile(0.50));
-      writer.Key("p95");
-      writer.Number(snapshot.Quantile(0.95));
-      writer.Key("p99");
-      writer.Number(snapshot.Quantile(0.99));
-      writer.EndObject();
     }
     writer.EndObject();
   }

@@ -8,9 +8,10 @@
 #include <ostream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/sync.h"
-#include "obs/metrics.h"
 #include "obs/timeline.h"
 
 namespace fim::obs {
@@ -20,15 +21,19 @@ struct MetricsSamplerOptions {
   /// Time between samples. Must be positive.
   std::chrono::milliseconds period{1000};
 
-  /// Registry whose counters and distributions go into every sample.
-  /// May be nullptr (the sample then carries only the process fields).
-  /// Must outlive the sampler.
-  const MetricRegistry* registry = nullptr;
+  /// Optional live counter source (e.g. a closure over
+  /// StreamMiner::Stats().Counters()): every sample carries its pairs,
+  /// in the returned order, as the "counters" object. Without one the
+  /// sample carries only the process fields. Called on the sampler
+  /// thread, so it must be thread-safe.
+  std::function<std::vector<std::pair<const char*, std::uint64_t>>()>
+      counters;
 
-  /// Name of a registry counter to derive a rate from (e.g.
+  /// Name of a counter to derive a rate from (e.g.
   /// "stream.transactions_ingested"): each sample reports the counter
   /// delta since the previous sample divided by the elapsed time as
-  /// `tx_per_second`. Empty disables the field.
+  /// `tx_per_second`. Needs a `counters` source; empty disables the
+  /// field.
   std::string throughput_counter;
 
   /// Optional timeline lane: every sample additionally records an
@@ -47,15 +52,14 @@ struct MetricsSamplerOptions {
 };
 
 /// Background metrics sampler for long-running sessions: a thread that
-/// periodically snapshots the registry, the derived ingest throughput
-/// and the process peak RSS into a JSONL time-series, one object per
-/// line (`fim-statsline-v1`):
+/// periodically snapshots the attached counters, the derived ingest
+/// throughput and the process peak RSS into a JSONL time-series, one
+/// object per line (`fim-statsline-v1`):
 ///
 ///   {"schema":"fim-statsline-v1","seq":0,"elapsed_seconds":1.0,
 ///    "peak_rss_bytes":N,"tx_per_second":F,
 ///    "mem":{"accounted_bytes":N,"live_bytes":N},   // optional, see below
-///    "counters":{...},"distributions":{"name":{"count":N,"sum":N,
-///    "min":N,"max":N,"mean":F,"p50":F,"p95":F,"p99":F},...}}
+///    "counters":{...}}
 ///
 /// The "mem" object appears when an accounted_bytes source is attached
 /// and/or the binary carries the FIM_MEM_PROFILE allocation tracker

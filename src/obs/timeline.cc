@@ -20,7 +20,9 @@ void TimelineLane::Push(TimelineEvent::Kind kind, std::string_view name,
   slot.value = value;
   slot.kind = kind;
   const std::size_t n = std::min(name.size(), TimelineEvent::kNameCapacity);
-  std::memcpy(slot.name, name.data(), n);
+  // End() passes an empty view whose data() may be null, which memcpy
+  // must not see even for a zero length.
+  if (n > 0) std::memcpy(slot.name, name.data(), n);
   slot.name[n] = '\0';
   head_.store(head + 1, std::memory_order_release);
 }

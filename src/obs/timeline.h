@@ -12,7 +12,6 @@
 
 #include "common/status.h"
 #include "common/sync.h"
-#include "obs/trace.h"
 
 namespace fim::obs {
 
@@ -101,10 +100,11 @@ class TimelineLane {
 };
 
 /// A per-run collection of timeline lanes — the event-level counterpart
-/// of the aggregating obs::Trace. The driving thread records into the
-/// built-in "main" lane (`driver()`); every worker thread registers its
-/// own lane with `AddLane` (mutex-protected registration, lock-free
-/// recording afterwards). All lanes share one epoch, so their timestamps
+/// of the aggregating obs::Trace. The driving thread's spans reach the
+/// built-in "main" lane (`driver()`) through Trace::AttachTimeline;
+/// every other recording thread (the profiler, the metrics sampler)
+/// registers its own lane with `AddLane` (mutex-protected registration,
+/// lock-free recording afterwards). All lanes share one epoch, so their timestamps
 /// interleave correctly in the exported trace.
 ///
 /// Memory is bounded: each lane owns `capacity` preallocated 64-byte
@@ -146,50 +146,6 @@ class Timeline {
   mutable Mutex mutex_{LockRank::kTimeline, "Timeline"};
   std::vector<std::unique_ptr<TimelineLane>> lanes_ FIM_GUARDED_BY(mutex_);
   TimelineLane* driver_ = nullptr;  // == lanes_[0], vector-independent
-};
-
-/// RAII begin/end guard over a lane; a nullptr lane makes it a no-op, so
-/// instrumented code needs no branches (same contract as obs::Span).
-class TimelineScope {
- public:
-  TimelineScope(TimelineLane* lane, std::string_view name) : lane_(lane) {
-    if (lane_ != nullptr) lane_->Begin(name);
-  }
-
-  TimelineScope(const TimelineScope&) = delete;
-  TimelineScope& operator=(const TimelineScope&) = delete;
-
-  /// Closes the scope now; the destructor then does nothing.
-  void End() {
-    if (lane_ != nullptr) {
-      lane_->End();
-      lane_ = nullptr;
-    }
-  }
-
-  ~TimelineScope() { End(); }
-
- private:
-  TimelineLane* lane_;
-};
-
-/// Combined phase guard: one aggregated span in `trace` plus one
-/// begin/end event pair on `lane`, either of which may be nullptr. This
-/// is what the miners use so every phase shows up in both the --stats
-/// span tree and the --trace-out timeline with a single guard object.
-class Phase {
- public:
-  Phase(Trace* trace, TimelineLane* lane, std::string_view name)
-      : span_(trace, name), scope_(lane, name) {}
-
-  void End() {
-    span_.End();
-    scope_.End();
-  }
-
- private:
-  Span span_;
-  TimelineScope scope_;
 };
 
 /// Identification stamped into the exported trace's otherData section.

@@ -1,6 +1,7 @@
 #include "obs/trace.h"
 
 #include "common/check.h"
+#include "obs/timeline.h"
 
 namespace fim::obs {
 
@@ -27,11 +28,13 @@ SpanNode* Trace::Begin(std::string_view name) {
   }
   open_.push_back(node);
   if (perf_ != nullptr) perf_open_.push_back(perf_->Read());
+  if (lane_ != nullptr) lane_->Begin(name);
   return node;
 }
 
 void Trace::End(double wall_seconds, double cpu_seconds) {
   FIM_CHECK(open_.size() > 1) << "Trace::End without a matching Begin";
+  if (lane_ != nullptr) lane_->End();
   SpanNode* node = open_.back();
   open_.pop_back();
   node->wall_seconds += wall_seconds;
@@ -42,6 +45,14 @@ void Trace::End(double wall_seconds, double cpu_seconds) {
     node->perf_valid = true;
     perf_open_.pop_back();
   }
+}
+
+void Trace::Instant(std::string_view name) {
+  if (lane_ != nullptr) lane_->Instant(name);
+}
+
+void Trace::Counter(std::string_view name, double value) {
+  if (lane_ != nullptr) lane_->Counter(name, value);
 }
 
 }  // namespace fim::obs

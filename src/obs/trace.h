@@ -12,6 +12,8 @@
 
 namespace fim::obs {
 
+class TimelineLane;
+
 /// One node of a hierarchical trace: a named phase with accumulated wall
 /// and thread-CPU time. Re-entering a phase with the same name under the
 /// same parent accumulates into the existing node (count tracks how
@@ -35,12 +37,15 @@ struct SpanNode {
   const SpanNode* FindChild(std::string_view child_name) const;
 };
 
-/// A tree of phase timings, built by nesting Span guards. A Trace is
-/// thread-confined: open and close spans from one thread at a time (the
-/// miners time their parallel sections as one span on the driving
-/// thread, so worker threads never touch the trace). The root node is
-/// unnamed and carries no timing of its own — its children are the
-/// top-level phases.
+/// A tree of phase timings, built by nesting Span guards, and the only
+/// span recorder of the library: with a timeline lane attached, every
+/// span also lands on the lane as a begin/end event pair, so one guard
+/// feeds both the --stats span tree and the --trace-out timeline. A
+/// Trace is thread-confined: open and close spans from one thread at a
+/// time (the miners time their parallel sections as one span on the
+/// driving thread, so worker threads never touch the trace). The root
+/// node is unnamed and carries no timing of its own — its children are
+/// the top-level phases.
 class Trace {
  public:
   Trace() { open_.push_back(&root_); }
@@ -62,6 +67,17 @@ class Trace {
                                                            : nullptr;
   }
 
+  /// Attaches a timeline lane (obs/timeline.h): every span opened
+  /// afterwards also records a begin/end event pair on it, and
+  /// Instant/Counter forward to it. The lane must be written by the
+  /// tracing thread only and outlive the spans. nullptr detaches.
+  void AttachTimeline(TimelineLane* lane) { lane_ = lane; }
+
+  /// A point-in-time marker / a named value sample on the attached
+  /// lane; no-ops without one. They leave the span tree untouched.
+  void Instant(std::string_view name);
+  void Counter(std::string_view name, double value);
+
  private:
   friend class Span;
 
@@ -79,6 +95,7 @@ class Trace {
   PerfCounterSet* perf_ = nullptr;
   std::vector<PerfCounts> perf_open_;  // parallel to open_[1..]: the
                                        // counter snapshot at Begin
+  TimelineLane* lane_ = nullptr;
 };
 
 /// RAII phase timer: opens a span on construction, records wall + thread

@@ -28,7 +28,6 @@
 
 #include "data/binary_io.h"
 #include "obs/memory.h"
-#include "obs/timeline.h"
 #include "obs/trace.h"
 #include "stream/stream_miner.h"
 
@@ -59,7 +58,7 @@ Status Corrupt(const std::string& what) {
 
 Status StreamMiner::CheckpointTo(std::ostream& out) {
   obs::MemDomainScope mem_domain(obs::MemDomain::kCheckpoint);
-  obs::Phase checkpoint_phase(options_.trace, lane_, "checkpoint");
+  obs::Span checkpoint_span(options_.trace, "checkpoint");
   FrozenState frozen;
   {
     const MutexLock lock(mutex_);
@@ -103,11 +102,8 @@ Status StreamMiner::CheckpointTo(std::ostream& out) {
       (begin >= 0 && end >= 0 && end > begin)
           ? static_cast<std::uint64_t>(end - begin)
           : 0;
-  {
-    const MutexLock lock(mutex_);
-    counters_.checkpoint_bytes_written += bytes;
-  }
-  Bump(kCkptWritten, bytes);
+  const MutexLock lock(mutex_);
+  counters_.checkpoint_bytes_written += bytes;
   return Status::OK();
 }
 
@@ -118,8 +114,7 @@ Status StreamMiner::Checkpoint(const std::string& path) {
 }
 
 Result<std::unique_ptr<StreamMiner>> StreamMiner::RestoreFrom(
-    std::istream& in, obs::MetricRegistry* registry, obs::Trace* trace,
-    obs::Timeline* timeline) {
+    std::istream& in, obs::Trace* trace) {
   obs::MemDomainScope mem_domain(obs::MemDomain::kCheckpoint);
   const std::streampos begin = in.tellg();
   char magic[4];
@@ -244,9 +239,7 @@ Result<std::unique_ptr<StreamMiner>> StreamMiner::RestoreFrom(
   options.pane_size = static_cast<std::size_t>(pane_size);
   options.window_panes = static_cast<std::size_t>(window_panes);
   options.merge_duplicate_transactions = merge_duplicates != 0;
-  options.registry = registry;
   options.trace = trace;
-  options.timeline = timeline;
   std::unique_ptr<StreamMiner> miner(
       new StreamMiner(options, /*restored=*/true));
   const std::streampos end = in.tellg();
@@ -267,28 +260,14 @@ Result<std::unique_ptr<StreamMiner>> StreamMiner::RestoreFrom(
     miner->current_pane_ = current_pane;
     miner->counters_ = counters;
   }
-  if (registry != nullptr) {
-    // Mirror the restored history into the registry so the live export
-    // matches Stats() from the first post-restore scrape on.
-    miner->Bump(kIngested, counters.transactions_ingested);
-    miner->Bump(kWeighted, counters.weighted_additions);
-    miner->Bump(kRotated, counters.panes_rotated);
-    miner->Bump(kExpired, counters.panes_expired);
-    miner->Bump(kQueries, counters.queries);
-    miner->Bump(kMerges, counters.snapshot_merges);
-    miner->Bump(kCompacted, counters.segments_compacted);
-    miner->Bump(kCkptWritten, counters.checkpoint_bytes_written);
-    miner->Bump(kCkptRead, counters.checkpoint_bytes_read);
-  }
   return miner;
 }
 
 Result<std::unique_ptr<StreamMiner>> StreamMiner::Restore(
-    const std::string& path, obs::MetricRegistry* registry, obs::Trace* trace,
-    obs::Timeline* timeline) {
+    const std::string& path, obs::Trace* trace) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open " + path);
-  return RestoreFrom(in, registry, trace, timeline);
+  return RestoreFrom(in, trace);
 }
 
 }  // namespace fim

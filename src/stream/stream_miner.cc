@@ -7,26 +7,24 @@
 #include "common/check.h"
 #include "common/timer.h"
 #include "obs/memory.h"
-#include "obs/timeline.h"
 #include "obs/trace.h"
 
 namespace fim {
 
-namespace {
-
-constexpr const char* kCounterNames[] = {
-    "stream.transactions_ingested",
-    "stream.weighted_additions",
-    "stream.panes_rotated",
-    "stream.panes_expired",
-    "stream.queries",
-    "stream.snapshot_merges",
-    "stream.segments_compacted",
-    "stream.checkpoint_bytes_written",
-    "stream.checkpoint_bytes_read",
-};
-
-}  // namespace
+std::vector<std::pair<const char*, std::uint64_t>> StreamStats::Counters()
+    const {
+  return {
+      {"stream.checkpoint_bytes_read", checkpoint_bytes_read},
+      {"stream.checkpoint_bytes_written", checkpoint_bytes_written},
+      {"stream.panes_expired", panes_expired},
+      {"stream.panes_rotated", panes_rotated},
+      {"stream.queries", queries},
+      {"stream.segments_compacted", segments_compacted},
+      {"stream.snapshot_merges", snapshot_merges},
+      {"stream.transactions_ingested", transactions_ingested},
+      {"stream.weighted_additions", weighted_additions},
+  };
+}
 
 StreamMiner::StreamMiner(const StreamMinerOptions& options)
     : StreamMiner(options, /*restored=*/false) {}
@@ -39,16 +37,6 @@ StreamMiner::StreamMiner(const StreamMinerOptions& options, bool /*restored*/)
          "(landmark) or both > 0 (sliding window), got pane_size "
       << options_.pane_size << ", window_panes " << options_.window_panes;
   live_ = std::make_unique<IstaPrefixTree>(options_.max_items);
-  if (options_.registry != nullptr) {
-    for (std::size_t i = 0; i < std::size(kCounterNames); ++i) {
-      counter_[i] = &options_.registry->GetCounter(kCounterNames[i]);
-    }
-  }
-  if (options_.timeline != nullptr) lane_ = options_.timeline->driver();
-}
-
-void StreamMiner::Bump(CounterIndex which, std::uint64_t n) {
-  if (counter_[which] != nullptr) counter_[which]->Add(n);
 }
 
 Status StreamMiner::AddTransaction(std::vector<ItemId> items) {
@@ -74,13 +62,12 @@ Status StreamMiner::AddTransaction(std::vector<ItemId> items) {
   }
   ++ingested_;
   ++counters_.transactions_ingested;
-  Bump(kIngested);
   if (options_.pane_size > 0) {
     ++fill_;
     if (fill_ == options_.pane_size) {
       // The pane is complete (the transaction just ingested is its last):
       // materialize it and advance the window.
-      obs::Phase rotate_phase(options_.trace, lane_, "rotate");
+      obs::Span rotate_span(options_.trace, "rotate");
       FlushPendingLocked();
       SealLiveLocked();
       RotateLocked();
@@ -96,7 +83,6 @@ void StreamMiner::FlushPendingLocked() {
   pending_items_.clear();
   pending_weight_ = 0;
   ++counters_.weighted_additions;
-  Bump(kWeighted);
 }
 
 void StreamMiner::SealLiveLocked() {
@@ -104,20 +90,19 @@ void StreamMiner::SealLiveLocked() {
   segments_.push_back(Segment{
       current_pane_, std::shared_ptr<const IstaPrefixTree>(live_.release())});
   live_ = std::make_unique<IstaPrefixTree>(options_.max_items);
-  if (lane_ != nullptr) {
-    lane_->Instant("seal");
+  if (options_.trace != nullptr) {
+    options_.trace->Instant("seal");
     // Heap step of the rotation: the bytes that just became immutable.
     // Renders as a counter track next to the sampler's mem.* lanes.
-    lane_->Counter("mem.sealed_mib",
-                   BytesToMib(segments_.back().tree->ApproxMemoryUsage()
-                                  .TotalBytes()));
+    options_.trace->Counter(
+        "mem.sealed_mib",
+        BytesToMib(segments_.back().tree->ApproxMemoryUsage().TotalBytes()));
   }
 }
 
 void StreamMiner::RotateLocked() {
   ++current_pane_;
   ++counters_.panes_rotated;
-  Bump(kRotated);
   if (current_pane_ >= options_.window_panes) {
     // Exactly one pane leaves the window per rotation after warm-up;
     // dropping its segments is the entire deletion story.
@@ -126,7 +111,6 @@ void StreamMiner::RotateLocked() {
     while (it != segments_.end() && it->pane < oldest_live) ++it;
     segments_.erase(segments_.begin(), it);
     ++counters_.panes_expired;
-    Bump(kExpired);
   }
 }
 
@@ -136,13 +120,12 @@ Status StreamMiner::Query(Support min_support,
     return Status::InvalidArgument("min_support must be >= 1");
   }
   obs::MemDomainScope mem_domain(obs::MemDomain::kStream);
-  obs::Phase query_phase(options_.trace, lane_, "query");
+  obs::Span query_span(options_.trace, "query");
   std::vector<Segment> covered;
   {
-    obs::Phase freeze_phase(options_.trace, lane_, "query-freeze");
+    obs::Span freeze_span(options_.trace, "query-freeze");
     const MutexLock lock(mutex_);
     ++counters_.queries;
-    Bump(kQueries);
     // Pane rotation is the only writer-visible cost of a query: the
     // pending run and live tree move into an immutable segment (pointer
     // moves plus one weighted addition); ingest continues into a fresh
@@ -166,7 +149,7 @@ Status StreamMiner::Query(Support min_support,
   std::vector<Segment> pane_trees;
   std::vector<Install> installs;
   std::uint64_t merges = 0;
-  obs::Phase merge_phase(options_.trace, lane_, "query-merge");
+  obs::Span merge_span(options_.trace, "query-merge");
   for (std::size_t i = 0; i < covered.size();) {
     std::size_t j = i + 1;
     while (j < covered.size() && covered[j].pane == covered[i].pane) ++j;
@@ -194,17 +177,16 @@ Status StreamMiner::Query(Support min_support,
     }
     snapshot = combined;
   }
-  merge_phase.End();
+  merge_span.End();
 
   {
-    obs::Phase compact_phase(options_.trace, lane_, "query-compact");
+    obs::Span compact_span(options_.trace, "query-compact");
     // Install the per-pane merged trees back (compaction): the next
     // query then folds one tree per already-seen pane instead of one per
     // historical seal. Replacement is by segment identity — if ingest
     // expired or another query already replaced a run, skip it.
     const MutexLock lock(mutex_);
     counters_.snapshot_merges += merges;
-    Bump(kMerges, merges);
     for (const Install& install : installs) {
       auto first = std::find_if(
           segments_.begin(), segments_.end(), [&](const Segment& s) {
@@ -226,11 +208,10 @@ Status StreamMiner::Query(Support min_support,
       segments_.erase(segments_.begin() + static_cast<std::ptrdiff_t>(at + 1),
                       segments_.begin() + static_cast<std::ptrdiff_t>(at + count));
       counters_.segments_compacted += count - 1;
-      Bump(kCompacted, count - 1);
     }
   }
 
-  obs::Phase report_phase(options_.trace, lane_, "query-report");
+  obs::Span report_span(options_.trace, "query-report");
   if (snapshot != nullptr) snapshot->Report(min_support, callback);
   return Status::OK();
 }

@@ -5,19 +5,17 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "common/sync.h"
 #include "data/itemset.h"
 #include "ista/prefix_tree.h"
-#include "obs/metrics.h"
 
 namespace fim {
 
 namespace obs {
-class Timeline;
-class TimelineLane;
 class Trace;
 }  // namespace obs
 
@@ -54,25 +52,14 @@ struct StreamMinerOptions {
   /// that many unit additions); a substantial win on bursty streams.
   bool merge_duplicate_transactions = true;
 
-  /// Optional live export: when set, the stream counters below are also
-  /// maintained as `stream.<name>` counters in this registry. The
-  /// registry must outlive the miner.
-  obs::MetricRegistry* registry = nullptr;
-
   /// Optional aggregated phase trace (obs/trace.h): rotate / query
   /// (query-freeze, query-merge, query-compact, query-report) /
-  /// checkpoint spans. Thread contract: obs::Trace is thread-confined,
-  /// so only set this when a single thread performs every miner call
-  /// (the fim-stream driver does). Output-neutral; must outlive the
-  /// miner.
+  /// checkpoint spans; a timeline lane attached to the trace also gets
+  /// a "seal" instant and a "mem.sealed_mib" counter sample per sealed
+  /// segment. Thread contract: obs::Trace is thread-confined, so only
+  /// set this when a single thread performs every miner call (the
+  /// fim-stream driver does). Output-neutral; must outlive the miner.
   obs::Trace* trace = nullptr;
-
-  /// Optional event timeline (obs/timeline.h): the same phases as
-  /// begin/end events plus "seal" instants on the timeline's driver
-  /// lane. Same single-caller-thread contract as `trace` (each
-  /// TimelineLane is single-writer). Output-neutral; must outlive the
-  /// miner.
-  obs::Timeline* timeline = nullptr;
 };
 
 /// Snapshot of a StreamMiner's execution counters (all cumulative since
@@ -89,6 +76,11 @@ struct StreamStats {
   std::uint64_t checkpoint_bytes_read = 0;
   std::uint64_t live_segments = 0;          // gauge: sealed segments + live
   std::uint64_t repository_nodes = 0;       // gauge: nodes across all trees
+
+  /// The nine cumulative counters (not the gauges) as
+  /// ("stream.<name>", value) pairs in name order — the `stream.*`
+  /// entries of the stats report and the sampler's JSONL lines.
+  std::vector<std::pair<const char*, std::uint64_t>> Counters() const;
 };
 
 /// Continuous closed-item-set mining over a transaction stream — the
@@ -152,15 +144,12 @@ class StreamMiner {
 
   /// Reconstructs a miner from a checkpoint. Corrupted or truncated
   /// input yields a clean InvalidArgument (every embedded tree blob is
-  /// invariant-checked). `registry`, `trace` and `timeline` play the
-  /// role of the corresponding StreamMinerOptions fields for the
-  /// restored miner (same contracts).
+  /// invariant-checked). `trace` plays the role of
+  /// StreamMinerOptions::trace for the restored miner (same contract).
   static Result<std::unique_ptr<StreamMiner>> Restore(
-      const std::string& path, obs::MetricRegistry* registry = nullptr,
-      obs::Trace* trace = nullptr, obs::Timeline* timeline = nullptr);
+      const std::string& path, obs::Trace* trace = nullptr);
   static Result<std::unique_ptr<StreamMiner>> RestoreFrom(
-      std::istream& in, obs::MetricRegistry* registry = nullptr,
-      obs::Trace* trace = nullptr, obs::Timeline* timeline = nullptr);
+      std::istream& in, obs::Trace* trace = nullptr);
 
   /// Raw transactions ingested so far (including before a checkpoint
   /// restore; duplicates counted individually).
@@ -223,26 +212,7 @@ class StreamMiner {
   /// Copies the checkpoint/query state out.
   FrozenState FreezeLocked() FIM_REQUIRES(mutex_);
 
-  /// Registry counter shortcut (nullptr when no registry is attached).
-  obs::Counter* counter_[9] = {};
-  enum CounterIndex {
-    kIngested,
-    kWeighted,
-    kRotated,
-    kExpired,
-    kQueries,
-    kMerges,
-    kCompacted,
-    kCkptWritten,
-    kCkptRead,
-  };
-  void Bump(CounterIndex which, std::uint64_t n = 1);
-
   const StreamMinerOptions options_;
-
-  /// Driver lane of options_.timeline (nullptr without one); only the
-  /// single confined caller thread records on it.
-  obs::TimelineLane* lane_ = nullptr;
 
   mutable Mutex mutex_{LockRank::kStreamMiner, "StreamMiner"};
   // Sealed segments, pane non-decreasing. The vector is guarded; the

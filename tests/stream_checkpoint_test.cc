@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -12,7 +13,6 @@
 
 #include "data/generators.h"
 #include "ista/prefix_tree.h"
-#include "obs/metrics.h"
 #include "stream/stream_miner.h"
 
 namespace fim {
@@ -245,13 +245,29 @@ TEST(StreamCheckpointTest, RestoredCountersMirrorIntoRegistry) {
   std::stringstream checkpoint(std::ios::in | std::ios::out |
                                std::ios::binary);
   ASSERT_TRUE(miner.CheckpointTo(checkpoint).ok());
-  obs::MetricRegistry registry;
-  auto restored = StreamMiner::RestoreFrom(checkpoint, &registry);
+  auto restored = StreamMiner::RestoreFrom(checkpoint);
   ASSERT_TRUE(restored.ok());
-  const auto exported = registry.CounterValues();
+  // The restored history is in the counter export from the first read
+  // on: the pre-checkpoint values plus the bytes the restore read.
+  const auto before = miner.Stats().Counters();
+  const auto after = restored.value()->Stats().Counters();
+  ASSERT_EQ(after.size(), before.size());
+  const std::map<std::string, std::uint64_t> exported(after.begin(),
+                                                       after.end());
   EXPECT_EQ(exported.at("stream.transactions_ingested"), 2u);
   EXPECT_EQ(exported.at("stream.queries"), 1u);
   EXPECT_GT(exported.at("stream.checkpoint_bytes_read"), 0u);
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_STREQ(after[i].first, before[i].first);
+    const std::string name = after[i].first;
+    if (name == "stream.checkpoint_bytes_read") continue;
+    // The checkpoint froze its state before counting its own bytes.
+    if (name == "stream.checkpoint_bytes_written") {
+      EXPECT_EQ(after[i].second, 0u);
+      continue;
+    }
+    EXPECT_EQ(after[i].second, before[i].second) << name;
+  }
 }
 
 TEST(StreamCheckpointTest, RejectsCorruptCheckpoints) {

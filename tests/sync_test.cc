@@ -41,7 +41,7 @@ TEST(MutexTest, MutexLockProvidesMutualExclusion) {
 TEST(MutexTest, SequentialLocksOfAnyRankOrderAreFine) {
   // Ranks order *nested* acquisition only; taking locks one after the
   // other (never held together) is legal in any order.
-  Mutex high(LockRank::kMetricRegistry, "high");
+  Mutex high(LockRank::kMemoryBreakdown, "high");
   Mutex low(LockRank::kStreamMiner, "low");
   {
     const MutexLock lock(high);
@@ -56,7 +56,7 @@ TEST(MutexTest, SequentialLocksOfAnyRankOrderAreFine) {
 
 TEST(MutexTest, NestedAcquisitionInIncreasingRankOrder) {
   Mutex outer(LockRank::kStreamMiner, "outer");
-  Mutex inner(LockRank::kMetricRegistry, "inner");
+  Mutex inner(LockRank::kMemoryBreakdown, "inner");
   const MutexLock outer_lock(outer);
   const MutexLock inner_lock(inner);
 }
@@ -132,12 +132,12 @@ void AcquireRecursively(Mutex& mutex) FIM_NO_THREAD_SAFETY_ANALYSIS {
 TEST(LockRankDeathTest, RankInversionAborts) {
   if (!FIM_DCHECK_IS_ON()) GTEST_SKIP() << "lock ranks need FIM_ENABLE_DCHECKS";
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  Mutex registry(LockRank::kMetricRegistry, "registry");
+  Mutex breakdown(LockRank::kMemoryBreakdown, "breakdown");
   Mutex miner(LockRank::kStreamMiner, "miner");
   EXPECT_DEATH(
       {
-        const MutexLock outer(registry);
-        const MutexLock inner(miner);  // 100 under 400: inversion
+        const MutexLock outer(breakdown);
+        const MutexLock inner(miner);  // 100 under 390: inversion
       },
       "lock-rank inversion");
 }

@@ -1,6 +1,6 @@
 // Tests of the event-timeline layer: ring-buffer lane semantics
-// (ordering, wrap-around drop accounting, name truncation), the
-// null-safe TimelineScope/Phase guards, the Chrome trace-event exporter
+// (ordering, wrap-around drop accounting, name truncation), an
+// obs::Trace feeding an attached lane, the Chrome trace-event exporter
 // (valid JSON, balanced begin/end pairs, orphan/synthetic end
 // re-balancing, thread_name metadata), multi-threaded lane registration
 // and recording (exercised under TSan in CI), the background
@@ -9,18 +9,19 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <map>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/miner.h"
 #include "data/generators.h"
 #include "obs/json.h"
-#include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
@@ -99,40 +100,109 @@ TEST(TimelineTest, LanesGetSequentialIdsAndSharedEpoch) {
   EXPECT_EQ(lanes[1]->name(), "worker-0");
 }
 
-// --- guards -----------------------------------------------------------
+// --- a trace feeding a lane --------------------------------------------
 
+// Without an attached lane (or after detaching it) a trace records its
+// spans and writes no events; Instant/Counter are no-ops.
 TEST(TimelineScopeTest, NullLaneIsNoOp) {
-  obs::TimelineScope scope(nullptr, "phase");
-  scope.End();
-  scope.End();  // idempotent
-  obs::Phase phase(nullptr, nullptr, "phase");
-  phase.End();
-  phase.End();
+  obs::Timeline timeline;
+  obs::TimelineLane* lane = timeline.driver();
+  obs::Trace trace;
+  trace.AttachTimeline(lane);
+  trace.AttachTimeline(nullptr);
+  {
+    obs::Span span(&trace, "phase");
+    trace.Instant("marker");
+    trace.Counter("nodes", 1.0);
+  }
+  EXPECT_EQ(lane->TotalEvents(), 0u);
+  ASSERT_NE(trace.root().FindChild("phase"), nullptr);
+  EXPECT_EQ(trace.root().FindChild("phase")->count, 1u);
 }
 
 TEST(TimelineScopeTest, EndIsIdempotentOnRealLane) {
   obs::Timeline timeline;
   obs::TimelineLane* lane = timeline.driver();
+  obs::Trace trace;
+  trace.AttachTimeline(lane);
   {
-    obs::TimelineScope scope(lane, "phase");
-    scope.End();
+    obs::Span span(&trace, "phase");
+    span.End();
     // Destructor must not emit a second end.
   }
   EXPECT_EQ(lane->TotalEvents(), 2u);
   const auto events = lane->Snapshot();
   EXPECT_EQ(events[0].kind, obs::TimelineEvent::Kind::kBegin);
+  EXPECT_STREQ(events[0].name, "phase");
   EXPECT_EQ(events[1].kind, obs::TimelineEvent::Kind::kEnd);
 }
 
-TEST(TimelineScopeTest, PhaseFeedsBothTraceAndLane) {
-  obs::Trace trace;
-  obs::Timeline timeline;
-  {
-    obs::Phase phase(&trace, timeline.driver(), "mine");
+// Nested and repeated spans, as the miners open them.
+void RecordPhases(obs::Trace* trace) {
+  obs::Span mine(trace, "mine");
+  for (int i = 0; i < 3; ++i) {
+    obs::Span shard(trace, "shard-mine");
+    obs::Span prune(trace, "prune");
+    prune.End();
+    trace->Counter("nodes", static_cast<double>(i));
   }
-  ASSERT_FALSE(trace.root().children.empty());
-  EXPECT_EQ(trace.root().children.front()->name, "mine");
-  EXPECT_EQ(timeline.driver()->TotalEvents(), 2u);
+  trace->Instant("seal");
+  obs::Span report(trace, "report");
+}
+
+// Names and counts of a span tree, depth-first.
+void Flatten(const obs::SpanNode& node, int depth,
+             std::vector<std::pair<std::string, std::size_t>>* out) {
+  for (const auto& child : node.children) {
+    out->emplace_back(std::string(depth, ' ') + child->name, child->count);
+    Flatten(*child, depth + 1, out);
+  }
+}
+
+TEST(TimelineScopeTest, PhaseFeedsBothTraceAndLane) {
+  obs::Trace plain;
+  RecordPhases(&plain);
+  obs::Timeline timeline;
+  obs::Trace traced;
+  traced.AttachTimeline(timeline.driver());
+  RecordPhases(&traced);
+
+  // The lane leaves the span tree exactly as an unattached trace has it.
+  std::vector<std::pair<std::string, std::size_t>> want;
+  std::vector<std::pair<std::string, std::size_t>> got;
+  Flatten(plain.root(), 0, &want);
+  Flatten(traced.root(), 0, &got);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(traced.OpenDepth(), 0u);
+
+  // Every span is one begin/end pair on the lane, balanced in nesting
+  // order, plus the instant and the counter samples.
+  int depth = 0;
+  std::size_t begins = 0;
+  std::size_t instants = 0;
+  std::size_t counters = 0;
+  for (const obs::TimelineEvent& event : timeline.driver()->Snapshot()) {
+    switch (event.kind) {
+      case obs::TimelineEvent::Kind::kBegin:
+        ++depth;
+        ++begins;
+        break;
+      case obs::TimelineEvent::Kind::kEnd:
+        ASSERT_GT(depth, 0);
+        --depth;
+        break;
+      case obs::TimelineEvent::Kind::kInstant:
+        ++instants;
+        break;
+      case obs::TimelineEvent::Kind::kCounter:
+        ++counters;
+        break;
+    }
+  }
+  EXPECT_EQ(depth, 0);
+  EXPECT_EQ(begins, 1u + 3u * 2u + 1u);
+  EXPECT_EQ(instants, 1u);
+  EXPECT_EQ(counters, 3u);
 }
 
 // --- Chrome trace export ----------------------------------------------
@@ -247,8 +317,9 @@ TEST(TimelineTest, ConcurrentLaneRegistrationAndRecording) {
       obs::TimelineLane* lane =
           timeline.AddLane("worker-" + std::to_string(t));
       for (int i = 0; i < kEventsPerThread; ++i) {
-        obs::TimelineScope scope(lane, "work");
+        lane->Begin("work");
         lane->Counter("i", static_cast<double>(i));
+        lane->End();
       }
     });
   }
@@ -277,15 +348,15 @@ TEST(TimelineTest, ConcurrentLaneRegistrationAndRecording) {
 // --- metrics sampler --------------------------------------------------
 
 TEST(SamplerTest, WritesAtLeastOneValidJsonlSample) {
-  obs::MetricRegistry registry;
-  registry.GetCounter("stream.transactions_ingested").Add(500);
-  registry.GetDistribution("stream.pane_sets").Record(12);
   obs::Timeline timeline;
 
   std::ostringstream out;
   obs::MetricsSamplerOptions options;
   options.period = std::chrono::milliseconds(3600 * 1000);  // never fires
-  options.registry = &registry;
+  options.counters = [] {
+    return std::vector<std::pair<const char*, std::uint64_t>>{
+        {"stream.queries", 3}, {"stream.transactions_ingested", 500}};
+  };
   options.throughput_counter = "stream.transactions_ingested";
   options.lane = timeline.AddLane("sampler");
   obs::MetricsSampler sampler(options, &out);
@@ -307,12 +378,10 @@ TEST(SamplerTest, WritesAtLeastOneValidJsonlSample) {
     ASSERT_NE(doc.Find("tx_per_second"), nullptr);
     const obs::JsonValue* counters = doc.Find("counters");
     ASSERT_NE(counters, nullptr);
+    ASSERT_EQ(counters->AsObject().size(), 2u);
+    EXPECT_DOUBLE_EQ(counters->Find("stream.queries")->AsNumber(), 3.0);
     EXPECT_DOUBLE_EQ(
         counters->Find("stream.transactions_ingested")->AsNumber(), 500.0);
-    const obs::JsonValue* dists = doc.Find("distributions");
-    ASSERT_NE(dists, nullptr);
-    EXPECT_DOUBLE_EQ(
-        dists->Find("stream.pane_sets")->Find("count")->AsNumber(), 1.0);
     ++parsed_lines;
   }
   EXPECT_EQ(parsed_lines, 1u);
@@ -322,19 +391,22 @@ TEST(SamplerTest, WritesAtLeastOneValidJsonlSample) {
 }
 
 TEST(SamplerTest, PeriodicSamplesCarryThroughputDeltas) {
-  obs::MetricRegistry registry;
-  obs::Counter& ingested = registry.GetCounter("stream.transactions_ingested");
+  std::atomic<std::uint64_t> ingested{0};
   std::ostringstream out;
   obs::MetricsSamplerOptions options;
   options.period = std::chrono::milliseconds(20);
-  options.registry = &registry;
+  // Read on the sampler thread while this one increments.
+  options.counters = [&ingested] {
+    return std::vector<std::pair<const char*, std::uint64_t>>{
+        {"stream.transactions_ingested", ingested.load()}};
+  };
   options.throughput_counter = "stream.transactions_ingested";
   {
     obs::MetricsSampler sampler(options, &out);
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::milliseconds(120);
     while (std::chrono::steady_clock::now() < deadline) {
-      ingested.Add(10);
+      ingested.fetch_add(10);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }  // destructor stops and flushes the final sample
@@ -357,8 +429,8 @@ TEST(SamplerTest, PeriodicSamplesCarryThroughputDeltas) {
 // --- output neutrality ------------------------------------------------
 
 // Recording a timeline must never change the mined output, at any thread
-// count. (The --stats/--trace counterpart lives in obs_test.cc; this
-// covers the MinerOptions::timeline path through recoding and mining.)
+// count. (The --stats counterpart lives in obs_test.cc; this covers a
+// trace with an attached lane through recoding and mining.)
 TEST(TimelineNeutralityTest, TimelineOnEqualsTimelineOff) {
   const TransactionDatabase db = GenerateRandomDense(60, 24, 0.3, 123);
   for (unsigned threads : {1u, 4u}) {
@@ -371,8 +443,9 @@ TEST(TimelineNeutralityTest, TimelineOnEqualsTimelineOff) {
     ASSERT_TRUE(plain.ok()) << plain.status().ToString();
 
     obs::Timeline timeline;
-    options.timeline = &timeline;
-    auto traced = MineClosedCollect(db, options);
+    obs::Trace trace;
+    trace.AttachTimeline(timeline.driver());
+    auto traced = MineClosedCollect(db, options, nullptr, &trace);
     ASSERT_TRUE(traced.ok()) << traced.status().ToString();
 
     ASSERT_EQ(plain.value().size(), traced.value().size()) << "t=" << threads;

@@ -30,8 +30,9 @@
 //   --stats-out=PATH
 //             write the stats report to PATH instead of stderr
 //   --trace-out=PATH
-//             record an event timeline (the driver's mining phases, plus
-//             a "profiler" lane under --profile) and write it as Chrome
+//             record an event timeline (the driver's phases — load, mine
+//             and its sub-phases — plus a "profiler" lane under
+//             --profile) and write it as Chrome
 //             trace-event JSON to PATH — load in chrome://tracing or
 //             https://ui.perfetto.dev
 //   --perf-counters
@@ -63,8 +64,8 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
+#include <utility>
 
 #include "api/miner.h"
 #include "common/timer.h"
@@ -73,7 +74,6 @@
 #include "data/fimi_io.h"
 #include "data/stats.h"
 #include "obs/export.h"
-#include "obs/timeline.h"
 #include "obs/trace.h"
 #include "rules/derive.h"
 #include "tool_flags.h"
@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
   unsigned num_threads = 1;
   bool maximal_only = false;
   bool quiet = false;
-  tools::ObsFlags obs_flags;
+  tools::ObsSession obs_session;
   std::string input;
   std::string output = "-";
 
@@ -148,8 +148,8 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "\n");
         return 2;
       }
-    } else if (obs_flags.Parse(arg)) {
-      // one of --stats / --stats-out / --trace-out
+    } else if (obs_session.Parse(arg)) {
+      // one of the observability flags (tool_flags.h)
     } else if (std::strcmp(arg, "-h") == 0 ||
                std::strcmp(arg, "--help") == 0) {
       Usage();
@@ -170,19 +170,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  obs_flags.Finish();
-
   WallTimer total;
   CpuTimer total_cpu;
-  obs::Trace trace_storage;
-  obs::Trace* trace = obs_flags.WantStats() ? &trace_storage : nullptr;
+  obs_session.Start();
+  obs::Trace* const trace = obs_session.trace();
   MinerStats miner_stats;
-  MinerStats* stats = obs_flags.WantStats() ? &miner_stats : nullptr;
-  std::unique_ptr<obs::Timeline> timeline;
-  if (obs_flags.WantTrace()) timeline = std::make_unique<obs::Timeline>();
-  tools::PerfSession perf_session;
-  perf_session.Start(obs_flags, trace, timeline.get());
-  tools::MemSession mem_session(obs_flags);
+  MinerStats* stats = obs_session.WantStats() ? &miner_stats : nullptr;
 
   obs::Span load_span(trace, "load");
   auto loaded = ReadDatabaseFile(input);
@@ -208,8 +201,7 @@ int main(int argc, char** argv) {
   options.algorithm = algorithm;
   options.min_support = min_support;
   options.num_threads = num_threads;
-  options.timeline = timeline.get();
-  options.memory = mem_session.breakdown();
+  options.memory = obs_session.memory();
 
   std::ofstream file_out;
   std::ostream* out = &std::cout;
@@ -260,41 +252,19 @@ int main(int argc, char** argv) {
                  total.Seconds());
   }
 
-  // Stop the measurement layer (counters + profiler) before any export
-  // touches the timeline the profiler may still be writing to.
-  const obs::PerfReport* perf_report = perf_session.Finish();
-  if (mem_session.breakdown() != nullptr) {
+  if (obs_session.memory() != nullptr) {
     // The tool owns the original database; the miners record only what
     // they build themselves.
-    mem_session.breakdown()->Record(db.ApproxMemoryUsage());
+    obs_session.memory()->Record(db.ApproxMemoryUsage());
   }
-  const obs::MemoryReport* mem_report = mem_session.Finish();
-
-  if (timeline != nullptr) {
-    obs::TraceMeta meta;
-    meta.tool = "fim-mine";
-    meta.algorithm = AlgorithmName(algorithm);
-    if (int rc = tools::EmitChromeTrace(obs_flags, *timeline, meta); rc != 0) {
-      return rc;
-    }
-  }
-  if (obs_flags.WantStats()) {
-    obs::StatsReport report;
-    report.tool = "fim-mine";
-    report.algorithm = AlgorithmName(algorithm);
-    report.min_support = min_support;
-    report.num_threads = num_threads;
-    report.num_sets = count;
-    report.wall_seconds = total.Seconds();
-    report.cpu_seconds = total_cpu.Seconds();
-    report.peak_rss_bytes = PeakRss();
-    report.miner = miner_stats;
-    report.trace = &trace_storage;
-    report.perf = perf_report;
-    report.memory = mem_report;
-    if (int rc = tools::EmitStatsReport(obs_flags, report); rc != 0) {
-      return rc;
-    }
-  }
-  return perf_session.EmitProfile(obs_flags);
+  obs::StatsReport report;
+  report.tool = "fim-mine";
+  report.algorithm = AlgorithmName(algorithm);
+  report.min_support = min_support;
+  report.num_threads = num_threads;
+  report.num_sets = count;
+  report.wall_seconds = total.Seconds();
+  report.cpu_seconds = total_cpu.Seconds();
+  report.miner = miner_stats;
+  return obs_session.Finish(std::move(report));
 }

@@ -61,7 +61,7 @@
 //   --sample-every=MS
 //               run a background metrics sampler: every MS milliseconds
 //               (and once at shutdown) append one fim-statsline-v1 JSON
-//               line — registry counters, tx/s throughput, peak RSS —
+//               line — stream.* counters, tx/s throughput, peak RSS —
 //               to --sample-out (default: stderr)
 //   --sample-out=PATH
 //               destination of the sampler's JSONL time-series
@@ -82,15 +82,14 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/timer.h"
 #include "data/itemset.h"
 #include "obs/export.h"
-#include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "obs/timeline.h"
-#include "obs/trace.h"
 #include "stream/stream_miner.h"
 #include "tool_flags.h"
 
@@ -117,7 +116,7 @@ struct Args {
   std::string resume_path;
   std::size_t max_items = std::size_t{1} << 20;
   bool quiet = false;
-  fim::tools::ObsFlags obs;
+  fim::tools::ObsSession obs;
   std::uint64_t sample_every_ms = 0;
   std::string sample_out;
   std::string input = "-";
@@ -162,7 +161,7 @@ int ParseArgs(int argc, char** argv, Args* args) {
     } else if (std::strcmp(arg, "-q") == 0) {
       args->quiet = true;
     } else if (args->obs.Parse(arg)) {
-      // one of --stats / --stats-out / --trace-out
+      // one of the observability flags (tool_flags.h)
     } else if (std::strncmp(arg, "--sample-every=", 15) == 0) {
       args->sample_every_ms = static_cast<std::uint64_t>(
           fim::tools::ParseCount("--sample-every", arg + 15));
@@ -192,7 +191,6 @@ int ParseArgs(int argc, char** argv, Args* args) {
     std::fprintf(stderr, "error: -s and --max-items must be >= 1\n");
     return 2;
   }
-  args->obs.Finish();
   if (!args->sample_out.empty() && args->sample_every_ms == 0) {
     std::fprintf(stderr, "error: --sample-out needs --sample-every=MS\n");
     return 2;
@@ -203,29 +201,6 @@ int ParseArgs(int argc, char** argv, Args* args) {
     return 2;
   }
   return -1;
-}
-
-int EmitStats(const Args& args, fim::StreamMiner& miner,
-              const fim::obs::MetricRegistry& registry,
-              const fim::obs::Trace* trace,
-              const fim::obs::PerfReport* perf,
-              const fim::obs::MemoryReport* memory, std::size_t num_sets,
-              double wall_seconds, double cpu_seconds) {
-  fim::obs::StatsReport report;
-  report.tool = "fim-stream";
-  report.algorithm =
-      miner.options().pane_size > 0 ? "stream-window" : "stream-landmark";
-  report.min_support = args.min_support;
-  report.num_threads = 1;
-  report.num_sets = num_sets;
-  report.wall_seconds = wall_seconds;
-  report.cpu_seconds = cpu_seconds;
-  report.peak_rss_bytes = fim::PeakRss();
-  report.registry = &registry;
-  report.trace = trace;
-  report.perf = perf;
-  report.memory = memory;
-  return fim::tools::EmitStatsReport(args.obs, report);
 }
 
 /// Parses one FIMI line into items. Returns false for blank/comment
@@ -297,19 +272,11 @@ int main(int argc, char** argv) {
 
   WallTimer total;
   CpuTimer total_cpu;
-  obs::MetricRegistry registry;
-  obs::Trace trace_storage;
-  obs::Trace* trace = args.obs.WantStats() ? &trace_storage : nullptr;
-  std::unique_ptr<obs::Timeline> timeline;
-  if (args.obs.WantTrace()) timeline = std::make_unique<obs::Timeline>();
-  tools::PerfSession perf_session;
-  perf_session.Start(args.obs, trace, timeline.get());
-  tools::MemSession mem_session(args.obs);
+  args.obs.Start();
 
   std::unique_ptr<StreamMiner> miner;
   if (!args.resume_path.empty()) {
-    auto restored = StreamMiner::Restore(args.resume_path, &registry, trace,
-                                         timeline.get());
+    auto restored = StreamMiner::Restore(args.resume_path, args.obs.trace());
     if (!restored.ok()) {
       std::fprintf(stderr, "error restoring %s: %s\n",
                    args.resume_path.c_str(),
@@ -327,9 +294,7 @@ int main(int argc, char** argv) {
     options.max_items = args.max_items;
     options.pane_size = args.pane_size;
     options.window_panes = args.window_panes;
-    options.registry = &registry;
-    options.trace = trace;
-    options.timeline = timeline.get();
+    options.trace = args.obs.trace();
     miner = std::make_unique<StreamMiner>(options);
   }
 
@@ -352,14 +317,18 @@ int main(int argc, char** argv) {
     obs::MetricsSamplerOptions sampler_options;
     sampler_options.period =
         std::chrono::milliseconds(args.sample_every_ms);
-    sampler_options.registry = &registry;
+    // Stats() and ApproxMemoryUsage() are O(segments) walks under the
+    // miner's mutex, cheap at sampler cadence.
+    StreamMiner* sampled = miner.get();
+    sampler_options.counters = [sampled]() {
+      return sampled->Stats().Counters();
+    };
     sampler_options.throughput_counter = "stream.transactions_ingested";
-    sampler_options.lane =
-        timeline != nullptr ? timeline->AddLane("sampler") : nullptr;
-    if (mem_session.breakdown() != nullptr) {
-      // Live heap timeline: each sample re-measures the miner (the walk
-      // is O(segments) under the miner's mutex, cheap at sampler cadence).
-      StreamMiner* sampled = miner.get();
+    sampler_options.lane = args.obs.timeline() != nullptr
+                               ? args.obs.timeline()->AddLane("sampler")
+                               : nullptr;
+    if (args.obs.memory() != nullptr) {
+      // Live heap timeline: each sample re-measures the miner.
       sampler_options.accounted_bytes = [sampled]() {
         return sampled->ApproxMemoryUsage().TotalBytes();
       };
@@ -451,24 +420,10 @@ int main(int argc, char** argv) {
 
   // Quiesce the sampler before exporting: its final sample lands in the
   // JSONL series and its lane stops receiving events, so the trace
-  // snapshot below observes a fully written timeline. The measurement
-  // layer (counters + profiler) stops here too, before any export
-  // touches the timeline the profiler may still be writing to.
+  // export in Finish observes a fully written timeline.
   if (sampler != nullptr) sampler->Stop();
-  const obs::PerfReport* perf_report = perf_session.Finish();
-  if (mem_session.breakdown() != nullptr) {
-    mem_session.breakdown()->Record(miner->ApproxMemoryUsage());
-  }
-  const obs::MemoryReport* mem_report = mem_session.Finish();
-
-  if (timeline != nullptr) {
-    obs::TraceMeta meta;
-    meta.tool = "fim-stream";
-    meta.algorithm =
-        miner->options().pane_size > 0 ? "stream-window" : "stream-landmark";
-    if (int rc = tools::EmitChromeTrace(args.obs, *timeline, meta); rc != 0) {
-      return rc;
-    }
+  if (args.obs.memory() != nullptr) {
+    args.obs.memory()->Record(miner->ApproxMemoryUsage());
   }
 
   const StreamStats stream_stats = miner->Stats();
@@ -482,13 +437,14 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(stream_stats.panes_rotated),
         num_sets, args.min_support, miner->NodeCount(), total.Seconds());
   }
-  if (args.obs.WantStats()) {
-    if (int rc = EmitStats(args, *miner, registry, trace, perf_report,
-                           mem_report, num_sets, total.Seconds(),
-                           total_cpu.Seconds());
-        rc != 0) {
-      return rc;
-    }
-  }
-  return perf_session.EmitProfile(args.obs);
+  obs::StatsReport report;
+  report.tool = "fim-stream";
+  report.algorithm =
+      miner->options().pane_size > 0 ? "stream-window" : "stream-landmark";
+  report.min_support = args.min_support;
+  report.num_sets = num_sets;
+  report.wall_seconds = total.Seconds();
+  report.cpu_seconds = total_cpu.Seconds();
+  report.extra_counters = stream_stats.Counters();
+  return args.obs.Finish(std::move(report));
 }

@@ -31,8 +31,8 @@
 
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/miner.h"
@@ -45,7 +45,6 @@
 #include "data/result_io.h"
 #include "ista/prefix_tree.h"
 #include "obs/export.h"
-#include "obs/timeline.h"
 #include "tool_flags.h"
 #include "verify/closedness.h"
 #include "verify/compare.h"
@@ -131,14 +130,14 @@ int main(int argc, char** argv) {
   std::string data_path;
   std::string result_path;
   bool self_check = false;
-  tools::ObsFlags obs_flags;
+  tools::ObsSession obs_session;
   int positional = 0;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strcmp(arg, "--self-check") == 0) {
       self_check = true;
-    } else if (obs_flags.Parse(arg)) {
-      // one of --stats / --stats-out / --trace-out
+    } else if (obs_session.Parse(arg)) {
+      // one of the observability flags (tool_flags.h)
     } else if (std::strcmp(arg, "-s") == 0) {
       if (i + 1 >= argc) {
         Usage();
@@ -165,7 +164,6 @@ int main(int argc, char** argv) {
     Usage();
     return 2;
   }
-  obs_flags.Finish();
 
   auto db = ReadDatabaseFile(data_path);
   if (!db.ok()) {
@@ -193,63 +191,34 @@ int main(int argc, char** argv) {
   // Completeness: compare against the reference miner.
   MinerOptions options;
   options.min_support = min_support;
-  const bool want_stats = obs_flags.WantStats();
-  std::unique_ptr<obs::Timeline> timeline;
-  if (obs_flags.WantTrace()) timeline = std::make_unique<obs::Timeline>();
-  options.timeline = timeline.get();
   WallTimer mine_wall;
   CpuTimer mine_cpu;
+  obs_session.Start();
   MinerStats miner_stats;
-  obs::Trace trace;
-  tools::PerfSession perf_session;
-  perf_session.Start(obs_flags, want_stats ? &trace : nullptr,
-                     timeline.get());
-  tools::MemSession mem_session(obs_flags);
-  options.memory = mem_session.breakdown();
-  auto expected = MineClosedCollect(db.value(), options,
-                                    want_stats ? &miner_stats : nullptr,
-                                    want_stats ? &trace : nullptr);
+  options.memory = obs_session.memory();
+  auto expected = MineClosedCollect(
+      db.value(), options, obs_session.WantStats() ? &miner_stats : nullptr,
+      obs_session.trace());
   if (!expected.ok()) {
     std::fprintf(stderr, "reference mining failed: %s\n",
                  expected.status().ToString().c_str());
     return 1;
   }
-  // Stop the measurement layer (counters + profiler) before any export
-  // touches the timeline the profiler may still be writing to.
-  const obs::PerfReport* perf_report = perf_session.Finish();
-  if (mem_session.breakdown() != nullptr) {
+  if (obs_session.memory() != nullptr) {
     // The tool owns the original database; the reference miner records
     // only what it builds itself.
-    mem_session.breakdown()->Record(db.value().ApproxMemoryUsage());
+    obs_session.memory()->Record(db.value().ApproxMemoryUsage());
   }
-  const obs::MemoryReport* mem_report = mem_session.Finish();
-  if (timeline != nullptr) {
-    obs::TraceMeta meta;
-    meta.tool = "fim-verify";
-    meta.algorithm = AlgorithmName(options.algorithm);
-    if (int rc = tools::EmitChromeTrace(obs_flags, *timeline, meta); rc != 0) {
-      return rc;
-    }
-  }
-  if (want_stats) {
-    obs::StatsReport report;
-    report.tool = "fim-verify";
-    report.algorithm = AlgorithmName(options.algorithm);
-    report.min_support = min_support;
-    report.num_threads = options.num_threads;
-    report.num_sets = expected.value().size();
-    report.wall_seconds = mine_wall.Seconds();
-    report.cpu_seconds = mine_cpu.Seconds();
-    report.peak_rss_bytes = PeakRss();
-    report.miner = miner_stats;
-    report.trace = &trace;
-    report.perf = perf_report;
-    report.memory = mem_report;
-    if (int rc = tools::EmitStatsReport(obs_flags, report); rc != 0) {
-      return rc;
-    }
-  }
-  if (int rc = perf_session.EmitProfile(obs_flags); rc != 0) return rc;
+  obs::StatsReport report;
+  report.tool = "fim-verify";
+  report.algorithm = AlgorithmName(options.algorithm);
+  report.min_support = min_support;
+  report.num_threads = options.num_threads;
+  report.num_sets = expected.value().size();
+  report.wall_seconds = mine_wall.Seconds();
+  report.cpu_seconds = mine_cpu.Seconds();
+  report.miner = miner_stats;
+  if (int rc = obs_session.Finish(std::move(report)); rc != 0) return rc;
   if (!SameResults(expected.value(), claimed.value())) {
     std::fprintf(stderr, "COMPLETENESS FAILURE:\n%s",
                  DiffResults(expected.value(), claimed.value(), 20).c_str());

@@ -24,8 +24,7 @@
 //                         (implies --stats; the allocation-domain table
 //                         appears only in FIM_MEM_PROFILE builds)
 //
-// Tools parse them through ObsFlags::Parse and run them through a
-// PerfSession + EmitStatsReport / EmitChromeTrace so the behaviour
+// Tools parse and run them through one ObsSession so the behaviour
 // cannot drift apart.
 
 #include <cerrno>
@@ -40,9 +39,11 @@
 #include "common/timer.h"
 #include "kernels/intersect.h"
 #include "obs/export.h"
+#include "obs/memory.h"
 #include "obs/perf.h"
 #include "obs/profiler.h"
 #include "obs/timeline.h"
+#include "obs/trace.h"
 
 namespace fim::tools {
 
@@ -66,97 +67,74 @@ inline long long ParseCount(const char* flag, const char* text) {
 
 enum class StatsFormat { kNone, kText, kJson };
 
-struct ObsFlags {
-  StatsFormat stats_format = StatsFormat::kNone;
-  std::string stats_out;
-  std::string trace_out;
-  bool perf_counters = false;
-  bool profile = false;
-  std::string profile_out;  // empty = collapsed stacks to stderr
-  bool mem_stats = false;
-
-  bool WantStats() const { return stats_format != StatsFormat::kNone; }
-  bool WantTrace() const { return !trace_out.empty(); }
-
+/// The observability session of one tool run, shared by fim-mine /
+/// fim-stream / fim-verify: it parses the flags above, opens the sinks
+/// they ask for, and writes every output at the end.
+///
+///   ObsSession obs;
+///   ... else if (obs.Parse(arg)) {} ...        // in the argument loop
+///   obs.Start();                                // before the work
+///   ... run with obs.trace() / obs.memory() ...
+///   return obs.Finish(report);                  // after the work
+///
+/// Every feature degrades gracefully (an unavailable reason in the
+/// report, a warning on stderr) and never fails the run by itself; only
+/// an unwritable output path is an error.
+class ObsSession {
+ public:
   /// Consumes `arg` when it is one of the observability flags.
   bool Parse(const char* arg) {
     if (std::strcmp(arg, "--stats") == 0 ||
         std::strcmp(arg, "--stats=text") == 0) {
-      stats_format = StatsFormat::kText;
-      return true;
+      stats_format_ = StatsFormat::kText;
+    } else if (std::strcmp(arg, "--stats=json") == 0) {
+      stats_format_ = StatsFormat::kJson;
+    } else if (std::strncmp(arg, "--stats-out=", 12) == 0) {
+      stats_out_ = arg + 12;
+    } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
+      trace_out_ = arg + 12;
+    } else if (std::strcmp(arg, "--perf-counters") == 0) {
+      perf_counters_ = true;
+    } else if (std::strcmp(arg, "--mem-stats") == 0) {
+      mem_stats_ = true;
+    } else if (std::strcmp(arg, "--profile") == 0) {
+      profile_ = true;
+    } else if (std::strncmp(arg, "--profile=", 10) == 0) {
+      profile_ = true;
+      profile_out_ = arg + 10;
+    } else {
+      return false;
     }
-    if (std::strcmp(arg, "--stats=json") == 0) {
-      stats_format = StatsFormat::kJson;
-      return true;
-    }
-    if (std::strncmp(arg, "--stats-out=", 12) == 0) {
-      stats_out = arg + 12;
-      return true;
-    }
-    if (std::strncmp(arg, "--trace-out=", 12) == 0) {
-      trace_out = arg + 12;
-      return true;
-    }
-    if (std::strcmp(arg, "--perf-counters") == 0) {
-      perf_counters = true;
-      return true;
-    }
-    if (std::strcmp(arg, "--mem-stats") == 0) {
-      mem_stats = true;
-      return true;
-    }
-    if (std::strcmp(arg, "--profile") == 0) {
-      profile = true;
-      return true;
-    }
-    if (std::strncmp(arg, "--profile=", 10) == 0) {
-      profile = true;
-      profile_out = arg + 10;
-      return true;
-    }
-    return false;
+    return true;
   }
 
-  /// Call once after the argument loop: --stats-out alone implies
-  /// --stats (text), and --perf-counters / --mem-stats imply --stats —
-  /// their sections need a report to live in.
-  void Finish() {
-    if (stats_format == StatsFormat::kNone &&
-        (!stats_out.empty() || perf_counters || mem_stats)) {
-      stats_format = StatsFormat::kText;
+  /// Call once after the argument loop, on the driving thread, before
+  /// the measured work. --stats-out, --perf-counters and --mem-stats
+  /// imply --stats (text) — their sections need a report to live in.
+  /// Then opens the sinks: the trace (under --stats or --trace-out),
+  /// the timeline whose "main" lane the trace feeds (--trace-out), the
+  /// PMU counters every span reads (--perf-counters), and the profiler
+  /// with its own "profiler" lane (--profile).
+  void Start() {
+    if (stats_format_ == StatsFormat::kNone &&
+        (!stats_out_.empty() || perf_counters_ || mem_stats_)) {
+      stats_format_ = StatsFormat::kText;
     }
-  }
-};
-
-/// Everything --perf-counters / --profile set up around one measured
-/// run, shared by fim-mine / fim-stream / fim-verify:
-///
-///   PerfSession perf_session;
-///   perf_session.Start(flags, trace, timeline);   // before the work
-///   ... run ...
-///   report.perf = perf_session.Finish();          // before EmitStats
-///   exit_code |= perf_session.EmitProfile(flags); // after the work
-///
-/// Both features degrade gracefully (unavailable reason in the report /
-/// a warning on stderr) and never fail the run by themselves; only an
-/// unwritable --profile=PATH is an error at EmitProfile time.
-class PerfSession {
- public:
-  /// Opens counters and/or arms the profiler per `flags`. `trace`
-  /// (nullable) gets the counter set attached so every span carries
-  /// hardware deltas; `timeline` (nullable) gets a "profiler" lane so
-  /// samples fold into the Chrome-trace export. Call before the
-  /// measured work, on the driving thread.
-  void Start(const ObsFlags& flags, obs::Trace* trace,
-             obs::Timeline* timeline) {
-    if (flags.perf_counters) {
+    if (WantStats() || !trace_out_.empty()) {
+      trace_ = std::make_unique<obs::Trace>();
+    }
+    if (!trace_out_.empty()) {
+      timeline_ = std::make_unique<obs::Timeline>();
+      trace_->AttachTimeline(timeline_->driver());
+    }
+    if (perf_counters_) {
       counters_ = std::make_unique<obs::PerfCounterSet>();
       counters_->Start();
-      if (trace != nullptr) trace->AttachPerfCounters(counters_.get());
+      trace_->AttachPerfCounters(counters_.get());
     }
-    if (flags.profile) {
+    if (profile_) {
       obs::ProfilerOptions options;
-      if (timeline != nullptr) options.lane = timeline->AddLane("profiler");
+      if (timeline_ != nullptr) options.lane = timeline_->AddLane("profiler");
       profiler_ = obs::SamplingProfiler::Start(options, &profiler_error_);
       if (profiler_ == nullptr) {
         std::fprintf(stderr, "warning: profiling disabled: %s\n",
@@ -165,132 +143,129 @@ class PerfSession {
     }
   }
 
-  /// Stops measuring and assembles the `perf` stats section. Returns
-  /// nullptr without --perf-counters; the pointer stays valid for the
-  /// session's lifetime.
-  const obs::PerfReport* Finish() {
+  bool WantStats() const { return stats_format_ != StatsFormat::kNone; }
+
+  /// The span recorder (nullptr without --stats and --trace-out).
+  obs::Trace* trace() { return trace_.get(); }
+
+  /// The event timeline (nullptr without --trace-out); threads other
+  /// than the driving one register their own lanes on it.
+  obs::Timeline* timeline() { return timeline_.get(); }
+
+  /// The collector for MinerOptions::memory and friends (nullptr
+  /// without --mem-stats — the run then skips all recording work).
+  obs::MemoryBreakdown* memory() { return mem_stats_ ? &memory_ : nullptr; }
+
+  /// Stops the counters and the profiler, then writes the outputs in
+  /// order: the Chrome trace (labelled with `report.tool` and
+  /// `report.algorithm`), the stats report (completed here with the
+  /// peak RSS, the span tree and the perf and memory sections) and the
+  /// profile. Returns 0, or 1 at the first output that cannot be
+  /// written.
+  int Finish(obs::StatsReport report) {
     if (profiler_ != nullptr) profiler_->Stop();
-    if (counters_ == nullptr) return nullptr;
-    report_.availability = counters_->availability();
-    if (counters_->available()) {
-      counters_->Stop();
-      report_.total = counters_->Read();
-      report_.total_valid = true;
+    obs::PerfReport perf;
+    if (counters_ != nullptr) {
+      perf.availability = counters_->availability();
+      if (counters_->available()) {
+        counters_->Stop();
+        perf.total = counters_->Read();
+        perf.total_valid = true;
+      }
+      perf.kernel_tier = kernels::Active().name;
+      perf.rusage = obs::ReadResourceUsage();
+      perf.peak_rss = PeakRssBytes();
+      report.perf = &perf;
     }
-    report_.kernel_tier = kernels::Active().name;
-    report_.rusage = obs::ReadResourceUsage();
-    report_.peak_rss = PeakRssBytes();
-    return &report_;
+    obs::MemoryReport memory;
+    if (mem_stats_) {
+      memory = obs::BuildMemoryReport(memory_);
+      report.memory = &memory;
+    }
+    if (timeline_ != nullptr) {
+      const Status status = obs::WriteChromeTraceFile(
+          *timeline_, obs::TraceMeta{report.tool, report.algorithm},
+          trace_out_);
+      if (!status.ok()) {
+        std::fprintf(stderr, "error writing trace %s: %s\n",
+                     trace_out_.c_str(), status.ToString().c_str());
+        return 1;
+      }
+    }
+    if (WantStats()) {
+      report.peak_rss_bytes = PeakRss();
+      report.trace = trace_.get();
+      if (int rc = WriteStats(report); rc != 0) return rc;
+    }
+    return WriteProfile();
   }
 
-  /// Writes the collapsed-stack profile to stderr or
-  /// `flags.profile_out`. When the profiler could not start, a
-  /// requested output file still gets a header explaining why (so CI
-  /// artifact steps find a file either way). Returns 0, or 1 when the
-  /// file cannot be written.
-  int EmitProfile(const ObsFlags& flags) {
-    if (!flags.profile) return 0;
+ private:
+  /// Renders `report` in the selected format to stderr or --stats-out.
+  int WriteStats(const obs::StatsReport& report) const {
+    const std::string rendered = stats_format_ == StatsFormat::kJson
+                                     ? obs::RenderStatsJson(report)
+                                     : obs::RenderStatsText(report);
+    if (stats_out_.empty()) {
+      std::fputs(rendered.c_str(), stderr);
+      return 0;
+    }
+    std::ofstream out(stats_out_, std::ios::trunc);
+    if (!out) {
+      std::fprintf(stderr, "error: cannot open %s for writing\n",
+                   stats_out_.c_str());
+      return 1;
+    }
+    out << rendered;
+    return 0;
+  }
+
+  /// Writes the collapsed-stack profile to stderr or --profile=PATH.
+  /// When the profiler could not start, a requested output file still
+  /// gets a header explaining why (so CI artifact steps find a file
+  /// either way).
+  int WriteProfile() const {
+    if (!profile_) return 0;
     if (profiler_ == nullptr) {
-      if (flags.profile_out.empty()) return 0;  // warning already printed
-      std::ofstream out(flags.profile_out, std::ios::trunc);
+      if (profile_out_.empty()) return 0;  // warning already printed
+      std::ofstream out(profile_out_, std::ios::trunc);
       if (!out) {
         std::fprintf(stderr, "error: cannot open %s for writing\n",
-                     flags.profile_out.c_str());
+                     profile_out_.c_str());
         return 1;
       }
       out << "# fim-prof-v1 samples=0 dropped=0 unavailable: "
           << profiler_error_ << '\n';
       return 0;
     }
-    if (flags.profile_out.empty()) {
+    if (profile_out_.empty()) {
       std::fputs(profiler_->RenderCollapsed().c_str(), stderr);
       return 0;
     }
-    const Status status = profiler_->WriteCollapsedFile(flags.profile_out);
+    const Status status = profiler_->WriteCollapsedFile(profile_out_);
     if (!status.ok()) {
       std::fprintf(stderr, "error writing profile %s: %s\n",
-                   flags.profile_out.c_str(), status.ToString().c_str());
+                   profile_out_.c_str(), status.ToString().c_str());
       return 1;
     }
     return 0;
   }
 
- private:
+  StatsFormat stats_format_ = StatsFormat::kNone;
+  std::string stats_out_;
+  std::string trace_out_;
+  bool perf_counters_ = false;
+  bool profile_ = false;
+  std::string profile_out_;  // empty = collapsed stacks to stderr
+  bool mem_stats_ = false;
+
+  std::unique_ptr<obs::Trace> trace_;
+  std::unique_ptr<obs::Timeline> timeline_;
   std::unique_ptr<obs::PerfCounterSet> counters_;
   std::unique_ptr<obs::SamplingProfiler> profiler_;
   std::string profiler_error_;
-  obs::PerfReport report_;
+  obs::MemoryBreakdown memory_;
 };
-
-/// Everything --mem-stats sets up around one measured run, shared by
-/// the tools the same way PerfSession is:
-///
-///   MemSession mem_session(flags);
-///   options.memory = mem_session.breakdown();      // nullptr w/o flag
-///   ... run ...
-///   report.memory = mem_session.Finish();          // before EmitStats
-class MemSession {
- public:
-  explicit MemSession(const ObsFlags& flags) : enabled_(flags.mem_stats) {}
-
-  /// The collector for MinerOptions::memory and friends (nullptr
-  /// without --mem-stats — the run then skips all recording work).
-  obs::MemoryBreakdown* breakdown() {
-    return enabled_ ? &breakdown_ : nullptr;
-  }
-
-  /// Assembles the `memory` stats section (breakdown + RSS coverage +
-  /// allocation-domain snapshot). Returns nullptr without --mem-stats;
-  /// the pointer stays valid for the session's lifetime.
-  const obs::MemoryReport* Finish() {
-    if (!enabled_) return nullptr;
-    report_ = obs::BuildMemoryReport(breakdown_);
-    return &report_;
-  }
-
- private:
-  bool enabled_;
-  obs::MemoryBreakdown breakdown_;
-  obs::MemoryReport report_;
-};
-
-/// Renders `report` in the selected format and writes it to stderr or
-/// `flags.stats_out`. Returns 0, or 1 when the output file cannot be
-/// written.
-inline int EmitStatsReport(const ObsFlags& flags,
-                           const obs::StatsReport& report) {
-  const std::string rendered = flags.stats_format == StatsFormat::kJson
-                                   ? obs::RenderStatsJson(report)
-                                   : obs::RenderStatsText(report);
-  if (flags.stats_out.empty()) {
-    std::fputs(rendered.c_str(), stderr);
-    return 0;
-  }
-  std::ofstream stats_file(flags.stats_out, std::ios::trunc);
-  if (!stats_file) {
-    std::fprintf(stderr, "error: cannot open %s for writing\n",
-                 flags.stats_out.c_str());
-    return 1;
-  }
-  stats_file << rendered;
-  return 0;
-}
-
-/// Writes the Chrome-trace export to `flags.trace_out`; a no-op without
-/// --trace-out. Returns 0, or 1 when the file cannot be written.
-inline int EmitChromeTrace(const ObsFlags& flags,
-                           const obs::Timeline& timeline,
-                           const obs::TraceMeta& meta) {
-  if (flags.trace_out.empty()) return 0;
-  const Status status =
-      obs::WriteChromeTraceFile(timeline, meta, flags.trace_out);
-  if (!status.ok()) {
-    std::fprintf(stderr, "error writing trace %s: %s\n",
-                 flags.trace_out.c_str(), status.ToString().c_str());
-    return 1;
-  }
-  return 0;
-}
 
 }  // namespace fim::tools
 
