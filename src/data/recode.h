@@ -6,6 +6,7 @@
 
 #include "data/itemset.h"
 #include "data/transaction_database.h"
+#include "obs/memory.h"
 
 namespace fim {
 
@@ -42,11 +43,71 @@ struct Recoding {
 Recoding ComputeRecoding(const TransactionDatabase& db, ItemOrder order,
                          Support min_item_support);
 
-/// Produces the recoded database: items mapped (dropped items removed,
-/// transactions renormalized, empty transactions discarded) and
-/// transactions reordered according to `transaction_order`. Same-size
-/// transactions are ordered lexicographically on their descending item
-/// sequence, as in the paper.
+/// A recoded database with identical rows merged (paper §3.2-§3.4: IsTa
+/// processes transactions with multiplicities; LCM calls the same step
+/// database reduction). The rows are stored back to back, CSR-style: one
+/// items array plus row offsets, each row ascending and non-empty, with
+/// a weight per row (its multiplicity in the input). Built by
+/// RecodeWeighted; read-only afterwards, so parallel workers may share
+/// one instance.
+class WeightedDatabase {
+ public:
+  /// Number of (unique, when merged) rows.
+  std::size_t size() const { return weights_.size(); }
+  std::size_t num_items() const { return num_items_; }
+
+  std::span<const ItemId> row(std::size_t t) const {
+    return std::span<const ItemId>(items_).subspan(
+        offsets_[t], offsets_[t + 1] - offsets_[t]);
+  }
+  Support weight(std::size_t t) const { return weights_[t]; }
+
+  /// Sum of the weights: the number of non-empty input rows.
+  Support TotalWeight() const { return total_weight_; }
+
+  /// True when every weight is 1 (nothing merged), so a row count is a
+  /// support.
+  bool Unweighted() const { return total_weight_ == size(); }
+
+  /// Weighted occurrence count of every item (its support).
+  std::vector<Support> ItemSupports() const;
+
+  /// For each item, the ascending list of rows containing it.
+  std::vector<std::vector<Tid>> BuildVertical() const;
+
+  /// Heap footprint (capacity bytes) as a breakdown named "weighted-db":
+  /// the items array, the row offsets and the weights.
+  obs::MemoryComponent ApproxMemoryUsage() const;
+
+ private:
+  friend WeightedDatabase RecodeWeighted(const TransactionDatabase&,
+                                         const Recoding&, TransactionOrder,
+                                         bool);
+
+  std::vector<ItemId> items_;            // rows, back to back
+  std::vector<std::size_t> offsets_{0};  // row t: [offsets_[t], [t + 1])
+  std::vector<Support> weights_;         // multiplicity of each row
+  std::size_t num_items_ = 0;
+  Support total_weight_ = 0;
+};
+
+/// The recoding pass of every miner that recodes: maps each row of `db`
+/// through `recoding` (dropped items removed, rows re-sorted, rows left
+/// empty discarded) and, with `merge_duplicates`, merges identical coded
+/// rows into one weighted row. The rows are then ordered by
+/// `transaction_order`: by size, same-size rows lexicographically on
+/// their descending item sequence, as in the paper; kNone keeps the
+/// input order (first occurrence, when merged). Without merging every
+/// weight is 1 and identical rows stay separate (adjacent under a size
+/// order).
+WeightedDatabase RecodeWeighted(const TransactionDatabase& db,
+                                const Recoding& recoding,
+                                TransactionOrder transaction_order,
+                                bool merge_duplicates);
+
+/// RecodeWeighted without merging, expanded into a TransactionDatabase
+/// (one transaction per non-empty input row) for the miners that keep
+/// rows separate.
 TransactionDatabase ApplyRecoding(const TransactionDatabase& db,
                                   const Recoding& recoding,
                                   TransactionOrder transaction_order);

@@ -12,16 +12,22 @@ namespace fim {
 
 namespace {
 
+// An itemset-tidset pair over the merged rows, with its support: the
+// sum of its rows' weights.
 struct Node {
   std::vector<ItemId> items;  // sorted ascending
   std::vector<Tid> tids;      // sorted ascending
+  Support support = 0;
 };
 
 class CharmMiner {
  public:
-  CharmMiner(Support min_support, const ClosedSetCallback& callback,
-             MinerStats* stats)
-      : min_support_(min_support), callback_(callback), stats_(stats) {}
+  CharmMiner(Support min_support, const WeightedDatabase& rows,
+             const ClosedSetCallback& callback, MinerStats* stats)
+      : min_support_(min_support),
+        rows_(rows),
+        callback_(callback),
+        stats_(stats) {}
 
   void Run(std::vector<Node> roots) { Extend(&roots); }
 
@@ -30,9 +36,9 @@ class CharmMiner {
   // properties: when two tidsets are equal or nested, the itemsets can
   // be merged without losing closed sets.
   void Extend(std::vector<Node>* nodes) {
-    // Process in order of increasing tidset size (CHARM's heuristic).
+    // Process in order of increasing support (CHARM's heuristic).
     std::sort(nodes->begin(), nodes->end(), [](const Node& a, const Node& b) {
-      return a.tids.size() < b.tids.size();
+      return a.support < b.support;
     });
     for (std::size_t i = 0; i < nodes->size(); ++i) {
       Node& current = (*nodes)[i];
@@ -41,7 +47,12 @@ class CharmMiner {
       // only grow `current`'s item set; stash the genuine extensions.
       // Children are materialized afterwards so they inherit ALL merged
       // items — creating them eagerly would lose later property-2 items.
-      std::vector<std::pair<std::size_t, std::vector<Tid>>> extensions;
+      struct Extension {
+        std::size_t j;
+        std::vector<Tid> tids;
+        Support support;
+      };
+      std::vector<Extension> extensions;
       // One scratch intersection per recursion level, reused across the
       // inner loop: pairs that merge or fall below min_support (the
       // common case) never allocate once the scratch is warm.
@@ -51,6 +62,9 @@ class CharmMiner {
         if (other.items.empty()) continue;
         if (stats_ != nullptr) ++stats_->extension_checks;
         kernels::IntersectInto(current.tids, other.tids, &inter);
+        // Properties 1/2 compare the tidsets themselves (a merged row
+        // stands for all its copies, so equal and nested tidsets over
+        // the merged rows are equal and nested over the input rows).
         const bool covers_current = inter.size() == current.tids.size();
         const bool covers_other = inter.size() == other.tids.size();
         if (covers_current && covers_other) {
@@ -63,24 +77,34 @@ class CharmMiner {
           // containing `current` also contains `other`'s items.
           if (stats_ != nullptr) ++stats_->closure_checks;
           MergeItems(&current.items, other.items);
-        } else if (inter.size() >= min_support_) {
+        } else if (const Support support = SupportOf(inter);
+                   support >= min_support_) {
           // Properties 3/4: a genuine new candidate below `current`.
           // Copy exact-size out of the scratch so it keeps its capacity.
-          extensions.emplace_back(j, inter);
+          extensions.push_back(Extension{j, inter, support});
         }
       }
       std::vector<Node> children;
       children.reserve(extensions.size());
-      for (auto& [j, tids] : extensions) {
+      for (Extension& extension : extensions) {
         Node child;
         child.items = current.items;
-        MergeItems(&child.items, (*nodes)[j].items);
-        child.tids = std::move(tids);
+        MergeItems(&child.items, (*nodes)[extension.j].items);
+        child.tids = std::move(extension.tids);
+        child.support = extension.support;
         children.push_back(std::move(child));
       }
       if (!children.empty()) Extend(&children);
       ReportIfClosed(current);
     }
+  }
+
+  // The weighted support of a tidset; its size when nothing was merged.
+  Support SupportOf(const std::vector<Tid>& tids) const {
+    if (rows_.Unweighted()) return static_cast<Support>(tids.size());
+    Support support = 0;
+    for (Tid t : tids) support += rows_.weight(t);
+    return support;
   }
 
   static void MergeItems(std::vector<ItemId>* into,
@@ -95,7 +119,7 @@ class CharmMiner {
   // Subsumption check: `node` is closed unless an already-reported set
   // with the same tidset-hash has the same support and contains it.
   void ReportIfClosed(const Node& node) {
-    const Support support = static_cast<Support>(node.tids.size());
+    const Support support = node.support;
     if (support < min_support_) return;
     std::size_t hash = 0;
     for (Tid t : node.tids) hash += t;  // CHARM's tidset-sum hash
@@ -113,6 +137,7 @@ class CharmMiner {
   }
 
   const Support min_support_;
+  const WeightedDatabase& rows_;
   const ClosedSetCallback& callback_;
   MinerStats* stats_;
   std::unordered_map<std::size_t,
@@ -133,24 +158,24 @@ Status MineClosedCharm(const TransactionDatabase& db,
 
   const Recoding recoding = ComputeRecoding(
       db, ItemOrder::kFrequencyAscending, options.min_support);
-  const TransactionDatabase coded =
-      ApplyRecoding(db, recoding, TransactionOrder::kNone);
-  if (coded.NumTransactions() == 0) return Status::OK();
+  const WeightedDatabase coded = RecodeWeighted(
+      db, recoding, TransactionOrder::kNone, /*merge_duplicates=*/true);
+  if (coded.size() == 0) return Status::OK();
+  if (stats != nullptr) stats->weighted_transactions = coded.size();
 
   auto tidlists = coded.BuildVertical();
+  const std::vector<Support> supports = coded.ItemSupports();
   std::vector<Node> roots;
   roots.reserve(tidlists.size());
   for (std::size_t i = 0; i < tidlists.size(); ++i) {
-    if (tidlists[i].size() >= options.min_support) {
-      roots.push_back(Node{{static_cast<ItemId>(i)},
-                           std::move(tidlists[i])});
+    if (supports[i] >= options.min_support) {
+      roots.push_back(Node{{static_cast<ItemId>(i)}, std::move(tidlists[i]),
+                           supports[i]});
     }
   }
 
   if (options.memory != nullptr) {
-    obs::MemoryComponent coded_db = coded.ApproxMemoryUsage();
-    coded_db.name = "recoded-db";
-    options.memory->Record(std::move(coded_db));
+    options.memory->Record(coded.ApproxMemoryUsage());
     // Root itemset-tidset pairs: the largest vertical structure — child
     // tidsets are intersections of these, so strictly smaller.
     obs::MemoryComponent vertical("root-tidsets");
@@ -167,7 +192,7 @@ Status MineClosedCharm(const TransactionDatabase& db,
   }
 
   const ClosedSetCallback decoded = MakeDecodingCallback(recoding, callback);
-  CharmMiner miner(options.min_support, decoded, stats);
+  CharmMiner miner(options.min_support, coded, decoded, stats);
   miner.Run(std::move(roots));
   return Status::OK();
 }

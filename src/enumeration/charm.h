@@ -17,9 +17,9 @@ struct CharmOptions {
   /// Absolute minimum support; must be >= 1.
   Support min_support = 1;
 
-  /// Optional memory attribution (obs/memory.h): records the root
-  /// itemset-tidset pairs after the vertical build. Output-neutral;
-  /// must outlive the call.
+  /// Optional memory attribution (obs/memory.h): records the weighted
+  /// database and the root itemset-tidset pairs after the vertical
+  /// build. Output-neutral; must outlive the call.
   obs::MemoryBreakdown* memory = nullptr;
 };
 
@@ -27,8 +27,11 @@ struct CharmOptions {
 /// search (Zaki & Hsiao): vertical tid sets, the four tidset-relation
 /// properties to grow closures and prune the search, plus a subsumption
 /// check before reporting. A third enumeration-side baseline next to
-/// FP-close and LCM. Same output contract as the other miners.
-/// `stats` (optional) receives extension_checks (tidset pairs examined),
+/// FP-close and LCM. The tid sets range over the duplicate-merged rows
+/// (RecodeWeighted); a node's support is the sum of its rows' weights.
+/// Same output contract as the other miners.
+/// `stats` (optional) receives weighted_transactions (rows after
+/// merging), extension_checks (tidset pairs examined),
 /// closure_checks (property-1/2 item merges), subsume_checks (bucket
 /// comparisons before reporting), and sets_reported; output-neutral.
 Status MineClosedCharm(const TransactionDatabase& db,

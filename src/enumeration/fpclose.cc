@@ -22,12 +22,14 @@ class FpCloseMiner {
   FpCloseMiner(Support min_support, MinerStats* stats)
       : min_support_(min_support), stats_(stats) {}
 
-  std::vector<Candidate> Run(const TransactionDatabase& coded) {
-    FpTree tree(coded.NumItems());
-    for (const auto& t : coded.transactions()) tree.Insert(t, 1);
+  // Inserts every merged row once, with its weight as the count.
+  std::vector<Candidate> Run(const WeightedDatabase& coded) {
+    FpTree tree(coded.num_items());
+    for (std::size_t t = 0; t < coded.size(); ++t) {
+      tree.Insert(coded.row(t), coded.weight(t));
+    }
     std::vector<ItemId> prefix;
-    Mine(tree, &prefix,
-         static_cast<Support>(coded.NumTransactions()));
+    Mine(tree, &prefix, coded.TotalWeight());
     return std::move(candidates_);
   }
 
@@ -140,16 +142,15 @@ Status MineClosedFpClose(const TransactionDatabase& db,
 
   const Recoding recoding = ComputeRecoding(
       db, ItemOrder::kFrequencyDescending, options.min_support);
-  const TransactionDatabase coded =
-      ApplyRecoding(db, recoding, TransactionOrder::kNone);
-  if (coded.NumTransactions() == 0) return Status::OK();
+  const WeightedDatabase coded = RecodeWeighted(
+      db, recoding, TransactionOrder::kNone, /*merge_duplicates=*/true);
+  if (coded.size() == 0) return Status::OK();
+  if (stats != nullptr) stats->weighted_transactions = coded.size();
 
   FpCloseMiner miner(options.min_support, stats);
   std::vector<Candidate> candidates = miner.Run(coded);
   if (options.memory != nullptr) {
-    obs::MemoryComponent coded_db = coded.ApproxMemoryUsage();
-    coded_db.name = "recoded-db";
-    options.memory->Record(std::move(coded_db));
+    options.memory->Record(coded.ApproxMemoryUsage());
     // The candidate pool before the closed filter is the enumeration
     // side's largest structure (conditional trees are transient).
     obs::MemoryComponent pool("candidates");

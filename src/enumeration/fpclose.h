@@ -17,21 +17,25 @@ struct FpCloseOptions {
   /// Absolute minimum support; must be >= 1.
   Support min_support = 1;
 
-  /// Optional memory attribution (obs/memory.h): records the root
-  /// FP-tree after the build. Output-neutral; must outlive the call.
+  /// Optional memory attribution (obs/memory.h): records the weighted
+  /// database and the candidate pool before the closed filter.
+  /// Output-neutral; must outlive the call.
   obs::MemoryBreakdown* memory = nullptr;
 };
 
 /// Closed frequent item set mining via FP-growth (the enumeration-side
-/// baseline of the paper's experiments): recursive conditional FP-tree
-/// projection with perfect-extension pruning generates the closed-set
-/// candidates {generator + perfect extensions}; a final subsumption
-/// filter (same support, proper superset) leaves exactly the closed sets.
-/// Same output contract as the intersection miners.
-/// `stats` (optional) receives conditional_trees (conditional FP-tree
-/// projections built), candidate_sets (candidates before the closed
-/// filter), subsume_checks (filter comparisons), and sets_reported;
-/// output-neutral.
+/// baseline of the paper's experiments): the root FP-tree is built from
+/// the duplicate-merged database (RecodeWeighted), each unique row
+/// inserted once with its multiplicity as the count; recursive
+/// conditional FP-tree projection with perfect-extension pruning
+/// generates the closed-set candidates {generator + perfect
+/// extensions}; a final subsumption filter (same support, proper
+/// superset) leaves exactly the closed sets. Same output contract as
+/// the intersection miners.
+/// `stats` (optional) receives weighted_transactions (rows after
+/// merging), conditional_trees (conditional FP-tree projections built),
+/// candidate_sets (candidates before the closed filter), subsume_checks
+/// (filter comparisons), and sets_reported; output-neutral.
 Status MineClosedFpClose(const TransactionDatabase& db,
                          const FpCloseOptions& options,
                          const ClosedSetCallback& callback,

@@ -18,50 +18,26 @@ namespace fim {
 
 namespace {
 
-// Database reduction: the recoded rows with identical ones merged into
-// weighted transactions (stored flat), plus the vertical view of the
-// merged rows the closure check probes. Built once, then read-only:
-// parallel workers share one instance.
+// Database reduction: the duplicate-merged weighted rows (RecodeWeighted)
+// plus the vertical view of them the closure check probes. Built once,
+// then read-only: parallel workers share one instance.
 class ReducedDatabase {
  public:
-  // `coded` must hold identical rows adjacently (any sorted order).
-  explicit ReducedDatabase(const TransactionDatabase& coded) {
-    const auto& rows = coded.transactions();
-    offsets_.push_back(0);
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      if (r > 0 && rows[r] == rows[r - 1]) {
-        ++weights_.back();
-        continue;
-      }
-      items_.insert(items_.end(), rows[r].begin(), rows[r].end());
-      offsets_.push_back(items_.size());
-      weights_.push_back(1);
-    }
-    std::vector<std::vector<Tid>> tids(coded.NumItems());
-    for (Tid t = 0; t < size(); ++t) {
-      for (ItemId item : row(t)) tids[item].push_back(t);
-    }
+  explicit ReducedDatabase(WeightedDatabase rows) : rows_(std::move(rows)) {
+    std::vector<std::vector<Tid>> tids = rows_.BuildVertical();
     columns_.reserve(tids.size());
     for (auto& column : tids) {
       columns_.push_back(kernels::TidSet::FromSorted(std::move(column), size()));
     }
   }
 
-  Tid size() const { return static_cast<Tid>(weights_.size()); }
+  Tid size() const { return static_cast<Tid>(rows_.size()); }
   std::size_t num_items() const { return columns_.size(); }
 
-  std::span<const ItemId> row(Tid t) const {
-    return std::span<const ItemId>(items_).subspan(
-        offsets_[t], offsets_[t + 1] - offsets_[t]);
-  }
-  Support weight(Tid t) const { return weights_[t]; }
+  const WeightedDatabase& rows() const { return rows_; }
+  std::span<const ItemId> row(Tid t) const { return rows_.row(t); }
+  Support weight(Tid t) const { return rows_.weight(t); }
   const kernels::TidSet& column(ItemId item) const { return columns_[item]; }
-
-  Support TotalWeight() const {
-    Support total = 0;
-    for (Support w : weights_) total += w;
-    return total;
-  }
 
   // closure(∅): the items of every merged row.
   std::vector<ItemId> RootClosure() const {
@@ -76,19 +52,14 @@ class ReducedDatabase {
 
   void RecordMemory(obs::MemoryBreakdown* memory) const {
     if (memory == nullptr) return;
-    memory->RecordBytes("weighted-db",
-                        items_.capacity() * sizeof(ItemId) +
-                            offsets_.capacity() * sizeof(std::size_t) +
-                            weights_.capacity() * sizeof(Support));
+    memory->Record(rows_.ApproxMemoryUsage());
     std::size_t vertical = columns_.capacity() * sizeof(kernels::TidSet);
     for (const auto& column : columns_) vertical += column.ApproxMemoryUsage();
     memory->RecordBytes("vertical-view", vertical);
   }
 
  private:
-  std::vector<ItemId> items_;         // merged rows, back to back
-  std::vector<std::size_t> offsets_;  // row t is items_[offsets_[t], [t+1])
-  std::vector<Support> weights_;      // multiplicity of each merged row
+  const WeightedDatabase rows_;
   std::vector<kernels::TidSet> columns_;  // per item: merged rows holding it
 };
 
@@ -360,24 +331,14 @@ Status MineClosedLcm(const TransactionDatabase& db, const LcmOptions& options,
 
   const Recoding recoding = ComputeRecoding(
       db, ItemOrder::kFrequencyDescending, options.min_support);
-  // The size-ascending order breaks ties lexicographically, so identical
-  // rows end up adjacent and the reduction merges them in one pass; the
-  // coded rows are dropped once merged.
-  const ReducedDatabase reduced = [&] {
-    const TransactionDatabase coded = ApplyRecoding(
-        db, recoding, TransactionOrder::kSizeAscending);
-    if (options.memory != nullptr) {
-      obs::MemoryComponent coded_db = coded.ApproxMemoryUsage();
-      coded_db.name = "recoded-db";
-      options.memory->Record(std::move(coded_db));
-    }
-    return ReducedDatabase(coded);
-  }();
+  const ReducedDatabase reduced(
+      RecodeWeighted(db, recoding, TransactionOrder::kSizeAscending,
+                     /*merge_duplicates=*/true));
   if (reduced.size() == 0) return Status::OK();
   if (stats != nullptr) stats->weighted_transactions = reduced.size();
   reduced.RecordMemory(options.memory);
 
-  const Support n = reduced.TotalWeight();
+  const Support n = reduced.rows().TotalWeight();
   if (n < options.min_support) return Status::OK();
   const ClosedSetCallback decoded = MakeDecodingCallback(recoding, callback);
 

@@ -22,9 +22,8 @@ struct LcmOptions {
   /// (and its order) is identical to the sequential run.
   unsigned num_threads = 1;
 
-  /// Optional memory attribution (obs/memory.h): records the recoded
-  /// rows, the weighted database, its vertical view and the per-depth
-  /// occurrence buckets. Output-neutral; must outlive the call.
+  /// Optional memory attribution (obs/memory.h): records the weighted
+  /// database, its vertical view and the per-depth occurrence buckets. Output-neutral; must outlive the call.
   obs::MemoryBreakdown* memory = nullptr;
 };
 
@@ -33,9 +32,9 @@ struct LcmOptions {
 /// generated exactly once from its core prefix, so no repository or
 /// post-filter is needed and memory stays linear in the input.
 ///
-/// The database is reduced first: items are recoded most frequent
-/// first, infrequent ones dropped, and identical rows merged into
-/// weighted transactions. Each node then makes one occurrence-deliver
+/// The database is reduced first (RecodeWeighted): items are recoded
+/// most frequent first, infrequent ones dropped, and identical rows
+/// merged into weighted transactions. Each node then makes one occurrence-deliver
 /// pass over the items above its core in its covering rows, which
 /// yields every candidate's occurrence list and weighted support at
 /// once. A candidate's closure is probed against the vertical view of

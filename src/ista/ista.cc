@@ -13,58 +13,30 @@ namespace fim {
 namespace {
 
 /// Records the preprocessing structures that stay alive for the whole
-/// mining call: the recoded database, the weighted stream over it, and
-/// the remaining-occurrence table.
+/// mining call: the weighted database and the remaining-occurrence
+/// table.
 void RecordPreprocessingMemory(obs::MemoryBreakdown* memory,
-                               const TransactionDatabase& coded,
-                               std::size_t stream_bytes) {
+                               const WeightedDatabase& coded) {
   if (memory == nullptr) return;
-  obs::MemoryComponent coded_db = coded.ApproxMemoryUsage();
-  coded_db.name = "recoded-db";
-  memory->Record(std::move(coded_db));
-  memory->RecordBytes("weighted-stream", stream_bytes);
-  memory->RecordBytes("remaining-tables", coded.NumItems() * sizeof(Support));
+  memory->Record(coded.ApproxMemoryUsage());
+  memory->RecordBytes("remaining-tables", coded.num_items() * sizeof(Support));
 }
 
-/// One entry of the mining stream: a recoded transaction plus its
-/// multiplicity after duplicate merging.
-struct WeightedTransaction {
-  const std::vector<ItemId>* items;
-  Support weight;
-};
-
-/// Builds the weighted stream. With `merge_duplicates`, runs of identical
-/// adjacent transactions collapse into one weighted transaction; under the
-/// default size-ascending order (which breaks ties lexicographically) all
-/// duplicates are adjacent, so this is a full deduplication there.
-std::vector<WeightedTransaction> BuildWeightedStream(
-    const TransactionDatabase& coded, bool merge_duplicates) {
-  std::vector<WeightedTransaction> stream;
-  stream.reserve(coded.NumTransactions());
-  for (const auto& transaction : coded.transactions()) {
-    if (merge_duplicates && !stream.empty() &&
-        *stream.back().items == transaction) {
-      ++stream.back().weight;
-    } else {
-      stream.push_back(WeightedTransaction{&transaction, 1});
-    }
-  }
-  return stream;
-}
-
-/// Mines the whole weighted stream into one repository (paper §3.2-§3.3).
-/// `remaining` starts as the occurrence count of every item over the
-/// coded database and loses each transaction's items as it is processed,
+/// Mines the weighted database into one repository (paper §3.2-§3.3),
+/// row by row in its stored order. `remaining` starts as the weighted
+/// support of every item and loses each row's items as it is processed,
 /// which is the bound the item-elimination pruning tests against. The
 /// repository tracks its own peak/prune/isect statistics.
-IstaPrefixTree MineShard(const std::vector<WeightedTransaction>& stream,
-                         std::size_t num_items, std::vector<Support> remaining,
+IstaPrefixTree MineShard(const WeightedDatabase& coded,
+                         std::vector<Support> remaining,
                          const IstaOptions& options, obs::Trace* trace) {
-  IstaPrefixTree tree(num_items);
+  IstaPrefixTree tree(coded.num_items());
   std::size_t prune_threshold = options.prune_node_threshold;
-  for (const WeightedTransaction& wt : stream) {
-    tree.AddTransaction(*wt.items, wt.weight);
-    for (ItemId i : *wt.items) remaining[i] -= wt.weight;
+  for (std::size_t t = 0; t < coded.size(); ++t) {
+    const std::span<const ItemId> row = coded.row(t);
+    const Support weight = coded.weight(t);
+    tree.AddTransaction(row, weight);
+    for (ItemId i : row) remaining[i] -= weight;
     if (options.item_elimination && tree.NodeCount() > prune_threshold) {
       obs::Span prune_span(trace, "prune");
       tree.Prune(options.min_support, remaining);
@@ -113,32 +85,31 @@ Status MineClosedIsta(const TransactionDatabase& db, const IstaOptions& options,
   if (stats != nullptr) *stats = IstaStats{};
   if (db.NumTransactions() == 0) return Status::OK();
 
-  // Preprocessing: assign item codes, drop items that cannot occur in any
-  // frequent set, order the transactions (paper §3.4).
+  // Preprocessing: assign item codes, dropping items that cannot occur
+  // in any frequent set (`recode`), then map the rows, merge identical
+  // ones into weighted rows and order them (`dedup`; paper §3.4).
   const Support min_item_support =
       options.item_elimination ? options.min_support : 1;
   obs::Span recode_span(trace, "recode");
   const Recoding recoding =
       ComputeRecoding(db, options.item_order, min_item_support);
-  const TransactionDatabase coded =
-      ApplyRecoding(db, recoding, options.transaction_order);
   recode_span.End();
-  if (coded.NumTransactions() == 0) return Status::OK();
-
   obs::Span dedup_span(trace, "dedup");
-  const std::vector<WeightedTransaction> stream =
-      BuildWeightedStream(coded, options.merge_duplicate_transactions);
+  const WeightedDatabase coded = [&] {
+    obs::MemDomainScope mem_domain(obs::MemDomain::kRecode);
+    return RecodeWeighted(db, recoding, options.transaction_order,
+                          options.merge_duplicate_transactions);
+  }();
   dedup_span.End();
-  if (stats != nullptr) stats->weighted_transactions = stream.size();
-  RecordPreprocessingMemory(options.memory, coded,
-                            stream.capacity() * sizeof(stream[0]));
+  if (coded.size() == 0) return Status::OK();
+  if (stats != nullptr) stats->weighted_transactions = coded.size();
+  RecordPreprocessingMemory(options.memory, coded);
 
-  std::vector<Support> remaining = coded.ItemFrequencies();
+  std::vector<Support> remaining = coded.ItemSupports();
   obs::Span mine_span(trace, "shard-mine");
   const IstaPrefixTree tree = [&] {
     obs::MemDomainScope mem_domain(obs::MemDomain::kIstaTree);
-    return MineShard(stream, coded.NumItems(), std::move(remaining), options,
-                     trace);
+    return MineShard(coded, std::move(remaining), options, trace);
   }();
   mine_span.End();
   FIM_DCHECK_OK(tree.ValidateInvariants());

@@ -40,14 +40,16 @@ struct IstaOptions {
   std::size_t prune_node_threshold = std::size_t{1} << 16;
 
   /// Merge identical (recoded) transactions into a single weighted
-  /// transaction before mining. Never changes the output; a substantial
-  /// win when rows repeat, e.g. on discretized gene-expression data.
+  /// transaction before mining, wherever they occur in the input (a
+  /// hash merge, under every transaction order). Never changes the
+  /// output; a substantial win when rows repeat, e.g. on discretized
+  /// gene-expression data or market baskets. Off, every row is mined
+  /// with weight 1.
   bool merge_duplicate_transactions = true;
 
-  /// Optional memory attribution (obs/memory.h): records the recoded
-  /// database, the weighted stream, the remaining-occurrence table and
-  /// the prefix tree before the report. Output-neutral; must outlive the
-  /// call.
+  /// Optional memory attribution (obs/memory.h): records the weighted
+  /// database, the remaining-occurrence table and the prefix tree before
+  /// the report. Output-neutral; must outlive the call.
   obs::MemoryBreakdown* memory = nullptr;
 };
 
@@ -62,8 +64,10 @@ struct IstaOptions {
 /// InvalidArgument for min_support == 0.
 ///
 /// `stats` (optional) receives the execution statistics; `trace`
-/// (optional) receives the phase spans `recode`, `dedup`, `shard-mine`
-/// (with one `prune` child when item elimination pruned the tree) and
+/// (optional) receives the phase spans `recode` (item frequencies and
+/// code assignment), `dedup` (the one pass that maps the rows, merges
+/// identical ones and orders them: RecodeWeighted), `shard-mine` (with
+/// one `prune` child when item elimination pruned the tree) and
 /// `report`, plus a `nodes` counter sample after every prune on an
 /// attached timeline lane. Both are output-neutral: the mining result
 /// is bit-identical whether they are requested or not.

@@ -330,8 +330,9 @@ std::string RenderStatsText(const StatsReport& report) {
                 report.min_support, report.num_threads, report.num_sets);
   out.append(line);
   std::snprintf(line, sizeof(line),
-                "  wall %.3fs, cpu %.3fs, peak rss %.1f MiB\n",
+                "  wall %.3fs, cpu %.3fs (process %.3fs), peak rss %.1f MiB\n",
                 report.wall_seconds, report.cpu_seconds,
+                report.process_cpu_seconds,
                 BytesToMib(report.peak_rss_bytes));
   out.append(line);
   out.append("  counters:\n");
@@ -377,6 +378,8 @@ std::string RenderStatsJson(const StatsReport& report) {
   writer.Number(report.wall_seconds);
   writer.Key("cpu_seconds");
   writer.Number(report.cpu_seconds);
+  writer.Key("process_cpu_seconds");
+  writer.Number(report.process_cpu_seconds);
   writer.Key("peak_rss_bytes");
   writer.Number(static_cast<std::uint64_t>(report.peak_rss_bytes));
   writer.Key("counters");

@@ -25,6 +25,8 @@ struct StatsReport {
   std::size_t num_sets = 0;
   double wall_seconds = 0.0;
   double cpu_seconds = 0.0;          // driving thread's CPU time
+  double process_cpu_seconds = 0.0;  // all threads: getrusage(RUSAGE_SELF)
+                                     // user + sys over the tool run
   std::size_t peak_rss_bytes = 0;    // 0 when the platform hides it
   MinerStats miner;
   const Trace* trace = nullptr;
@@ -54,7 +56,8 @@ std::string RenderStatsText(const StatsReport& report);
 ///     "schema": "fim-stats-v2",
 ///     "tool": "...", "algorithm": "...",
 ///     "min_support": N, "threads": N, "num_sets": N,
-///     "wall_seconds": F, "cpu_seconds": F, "peak_rss_bytes": N,
+///     "wall_seconds": F, "cpu_seconds": F, "process_cpu_seconds": F,
+///     "peak_rss_bytes": N,
 ///     "counters": { "<name>": N, ... },           // full catalog, then
 ///                                                 // extra_counters
 ///     "spans": [ { "name": "...", "wall_seconds": F,
@@ -89,6 +92,8 @@ std::string RenderStatsText(const StatsReport& report);
 ///     }
 ///   }
 ///
+/// "process_cpu_seconds" joined v2 without a version bump, like the
+/// optional sections: readers treat it as optional.
 /// v1 -> v2: a "distributions" section was added; it was never filled
 /// and has been dropped again, so v2 reports match v1 reports plus the
 /// optional sections. The optional "perf" section (and per-span "perf"

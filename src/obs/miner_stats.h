@@ -28,7 +28,8 @@ struct MinerStats {
   std::size_t final_nodes = 0;     // repository size at report time
   std::size_t prune_calls = 0;     // item-elimination prunes
   std::size_t merge_calls = 0;     // pairwise repository merges
-  std::size_t weighted_transactions = 0;  // stream length after dedup
+  std::size_t weighted_transactions = 0;  // rows after duplicate merging
+                                          // (IsTa, LCM, FP-close, CHARM)
 
   // --- transaction-set enumeration family (Carpenter, Cobbler) ---------
   std::size_t nodes_visited = 0;    // row-enumeration nodes expanded

@@ -228,9 +228,8 @@ TEST(MemProfileTest, SelfMeasurementMatchesDomainLiveBytes) {
   EXPECT_EQ(domain_live(obs::MemDomain::kIstaTree), before);
 }
 
-// LCM records what its core allocates: the recoded rows, the weighted
-// (duplicate-merged) database, its vertical view and the per-depth
-// occurrence buckets.
+// LCM records what its core allocates: the weighted (duplicate-merged)
+// database, its vertical view and the per-depth occurrence buckets.
 void MineLcmRecording(const TransactionDatabase& db, MemoryBreakdown* memory,
                       const std::function<void()>& on_set = [] {}) {
   LcmOptions options;
@@ -264,14 +263,12 @@ TEST(LcmMemoryTest, RecordsTheReducedCoreComponents) {
     names.insert(component.name);
     EXPECT_GT(component.TotalBytes(), 0u) << component.name;
   }
-  EXPECT_EQ(names, (std::set<std::string>{"recoded-db", "weighted-db",
-                                          "vertical-view",
+  EXPECT_EQ(names, (std::set<std::string>{"weighted-db", "vertical-view",
                                           "occurrence-buckets"}));
 }
 
 // Ground truth: every structure the core keeps is allocated in the
-// caller's domain (the recoded rows go to kRecode and are freed after
-// the reduction), so the kMine bytes live while sets are emitted must be
+// caller's domain, so the kMine bytes live while sets are emitted must be
 // what weighted-db + vertical-view + occurrence-buckets account for —
 // up to the decoding callback's small copies and the breakdown's own
 // records.
@@ -295,7 +292,7 @@ TEST(LcmMemoryTest, ComponentsMatchDomainLiveBytes) {
     });
     std::size_t measured = 0;
     for (const auto& component : memory.Components()) {
-      if (component.name != "recoded-db") measured += component.TotalBytes();
+      measured += component.TotalBytes();
     }
     EXPECT_LE(tracked, measured + 4096)
         << "measured " << measured << " vs tracked " << tracked;

@@ -288,6 +288,40 @@ TEST(ToolsPipelineTest, StatsJsonValidatesAndLeavesOutputUntouched) {
   EXPECT_TRUE(saw_mine);
 }
 
+// The top-level cpu_seconds is the driving thread's CPU; at -t 4 LCM's
+// workers run on other threads, which process_cpu_seconds (getrusage
+// over the whole process) must include, in both renderings.
+TEST(ToolsPipelineTest, ProcessCpuCoversWorkerThreads) {
+  const std::string data = TempPath("pipeline_process_cpu.fimi");
+  const std::string stats_json = TempPath("pipeline_process_cpu.json");
+  const std::string stats_text = TempPath("pipeline_process_cpu.txt");
+  ASSERT_EQ(RunCmd(std::string(FIM_GEN_BINARY) + " -p yeast -c 0.25 -r 1 " +
+                   data + " 2>/dev/null"),
+            0);
+  const std::string mine = std::string(FIM_MINE_BINARY) +
+                           " -q -a lcm -s 10 -t 4 " + data + " /dev/null ";
+  ASSERT_EQ(RunCmd(mine + "--stats=json --stats-out=" + stats_json), 0);
+  ASSERT_EQ(RunCmd(mine + "--stats --stats-out=" + stats_text), 0);
+
+  std::ifstream in(stats_json);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  auto parsed = obs::ParseJson(buffer.str());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const obs::JsonValue& report = parsed.value();
+  EXPECT_DOUBLE_EQ(report.Find("threads")->AsNumber(), 4.0);
+  const double cpu = report.Find("cpu_seconds")->AsNumber();
+  ASSERT_NE(report.Find("process_cpu_seconds"), nullptr);
+  const double process_cpu = report.Find("process_cpu_seconds")->AsNumber();
+  EXPECT_GT(process_cpu, 0.0);
+  EXPECT_GE(process_cpu, cpu);
+
+  std::ifstream text_in(stats_text);
+  std::stringstream text;
+  text << text_in.rdbuf();
+  EXPECT_NE(text.str().find("(process "), std::string::npos) << text.str();
+}
+
 TEST(ToolsPipelineTest, BinaryFormatMinesIdentically) {
   const std::string text = TempPath("pipeline_bin.fimi");
   const std::string binary = TempPath("pipeline_bin.fimb");

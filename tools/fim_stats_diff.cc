@@ -84,10 +84,13 @@ using Rows = std::map<std::string, Row>;
 
 /// Whether the metric is gated with --time only. The raw hardware
 /// counts ride along: cycles track wall time and both scale with the
-/// multiplexing correction, unlike the ratios derived from them.
+/// multiplexing correction, unlike the ratios derived from them. Timing
+/// metrics are also optional: reports older than process_cpu_seconds
+/// lack it, and its absence on either side is no MISSING failure.
 bool IsTimingMetric(const std::string& name) {
   return name == "wall_seconds" || name == "cpu_seconds" ||
-         name == "seconds" || name == "perf.cycles" ||
+         name == "process_cpu_seconds" || name == "seconds" ||
+         name == "perf.cycles" ||
          name == "perf.instructions";
 }
 
@@ -170,6 +173,9 @@ bool ExtractRows(const JsonValue& doc, const std::string& label, Rows* rows) {
     }
     if (const JsonValue* cpu = doc.Find("cpu_seconds")) {
       row["cpu_seconds"] = cpu->AsNumber();
+    }
+    if (const JsonValue* cpu = doc.Find("process_cpu_seconds")) {
+      row["process_cpu_seconds"] = cpu->AsNumber();
     }
     if (const JsonValue* perf = doc.Find("perf")) {
       ExtractPerfMetrics(*perf, &row);

@@ -116,6 +116,7 @@ class ObsSession {
   /// PMU counters every span reads (--perf-counters), and the profiler
   /// with its own "profiler" lane (--profile).
   void Start() {
+    process_cpu_start_ = ProcessCpuSeconds();
     if (stats_format_ == StatsFormat::kNone &&
         (!stats_out_.empty() || perf_counters_ || mem_stats_)) {
       stats_format_ = StatsFormat::kText;
@@ -159,9 +160,9 @@ class ObsSession {
   /// Stops the counters and the profiler, then writes the outputs in
   /// order: the Chrome trace (labelled with `report.tool` and
   /// `report.algorithm`), the stats report (completed here with the
-  /// peak RSS, the span tree and the perf and memory sections) and the
-  /// profile. Returns 0, or 1 at the first output that cannot be
-  /// written.
+  /// process CPU since Start(), the peak RSS, the span tree and the perf
+  /// and memory sections) and the profile. Returns 0, or 1 at the first
+  /// output that cannot be written.
   int Finish(obs::StatsReport report) {
     if (profiler_ != nullptr) profiler_->Stop();
     obs::PerfReport perf;
@@ -193,6 +194,7 @@ class ObsSession {
       }
     }
     if (WantStats()) {
+      report.process_cpu_seconds = ProcessCpuSeconds() - process_cpu_start_;
       report.peak_rss_bytes = PeakRss();
       report.trace = trace_.get();
       if (int rc = WriteStats(report); rc != 0) return rc;
@@ -259,6 +261,14 @@ class ObsSession {
   std::string profile_out_;  // empty = collapsed stacks to stderr
   bool mem_stats_ = false;
 
+  /// User + system CPU of the whole process (every thread), from
+  /// getrusage(RUSAGE_SELF); 0 where it is unavailable.
+  static double ProcessCpuSeconds() {
+    const obs::ResourceUsage usage = obs::ReadResourceUsage();
+    return usage.user_seconds + usage.system_seconds;
+  }
+
+  double process_cpu_start_ = 0.0;
   std::unique_ptr<obs::Trace> trace_;
   std::unique_ptr<obs::Timeline> timeline_;
   std::unique_ptr<obs::PerfCounterSet> counters_;
