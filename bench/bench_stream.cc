@@ -11,10 +11,10 @@
 //
 // Configurations: landmark mode plus sliding windows of a fixed ~2048
 // transactions chopped into 4/8/16/32 panes — the pane count is the
-// freshness/latency knob (more panes = finer expiry granularity, but a
-// snapshot folds more per-pane trees). Every query's set count is
-// recorded so the exactness cross-check against fim-mine stays cheap to
-// run by hand.
+// expiry granularity. Every query re-mines the covered rows, so its
+// latency follows the rows covered, not the pane count. Every query's
+// set count is recorded so the exactness cross-check against fim-mine
+// stays cheap to run by hand.
 
 #include <cstdio>
 #include <string>
@@ -42,12 +42,8 @@ int main(int argc, char** argv) {
   const bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
   const double scale = args.scale > 0 ? args.scale : 0.25;
 
-  // Pattern-dominated baskets (the paper's favourable streaming regime):
-  // rows are mostly subsets of shared patterns, so duplicate-run merging
-  // bites and the landmark repository stays polynomial. A junk-heavy
-  // stream makes the all-supports repository itself blow up — that is a
-  // property of exact any-support snapshots, not of the stream driver,
-  // and is covered by the ablation benches.
+  // Pattern-dominated baskets: rows are mostly subsets of shared
+  // patterns, so many rows repeat and duplicate merging bites.
   MarketBasketConfig basket;
   basket.num_items = 200;
   basket.num_transactions =
@@ -116,29 +112,17 @@ int main(int argc, char** argv) {
       }
     }
     const double mean_query = query_seconds / static_cast<double>(queries_run);
-    const StreamStats stats = miner.Stats();
     std::printf(
-        "  %-16s %9.0f tx/s ingest, %8.3f ms/query (%zu queries, %zu sets, "
-        "%llu weighted adds, %llu merges, %zu nodes)\n",
+        "  %-16s %9.0f tx/s ingest, %8.3f ms/query (%zu queries, %zu sets)\n",
         config.name.c_str(),
         static_cast<double>(db.NumTransactions()) / ingest_seconds,
-        1000.0 * mean_query, queries_run, num_sets,
-        static_cast<unsigned long long>(stats.weighted_additions),
-        static_cast<unsigned long long>(stats.snapshot_merges),
-        miner.NodeCount());
+        1000.0 * mean_query, queries_run, num_sets);
 
-    // The miner-facing subset of the stream counters rides along in the
-    // MinerStats payload of each point.
     MinerStats mapped;
-    mapped.weighted_transactions =
-        static_cast<std::size_t>(stats.weighted_additions);
-    mapped.merge_calls = static_cast<std::size_t>(stats.snapshot_merges);
-    mapped.final_nodes = static_cast<std::size_t>(stats.repository_nodes);
     mapped.sets_reported = num_sets;
 
-    // End-of-ingest footprint: the live tree plus every sealed segment
-    // (the structures a compressed-segment tier would shrink), next to
-    // the process peak RSS.
+    // End-of-ingest footprint: the covered rows (filling and sealed
+    // blocks), next to the process peak RSS.
     const std::size_t accounted = miner.ApproxMemoryUsage().TotalBytes();
 
     bench::JsonPoint ingest_point;

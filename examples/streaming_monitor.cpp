@@ -1,8 +1,8 @@
 // Online mining scenario: transactions arrive as a stream (e.g. a live
 // click-stream or a growing experiment compendium) and the application
-// periodically asks for the currently strongest closed item sets —
-// the natural fit for the cumulative intersection scheme, which updates
-// its repository per transaction instead of re-mining from scratch.
+// periodically asks for the currently strongest closed item sets. A
+// landmark-mode StreamMiner keeps every row seen so far and answers
+// each query with batch IsTa at that query's minimum support.
 //
 //   $ ./examples/streaming_monitor
 
@@ -12,7 +12,7 @@
 #include "api/constrained.h"
 #include "api/topk.h"
 #include "data/generators.h"
-#include "ista/incremental.h"
+#include "stream/stream_miner.h"
 
 int main() {
   using namespace fim;
@@ -27,7 +27,9 @@ int main() {
   config.seed = 97;
   const TransactionDatabase stream = GenerateMarketBasket(config);
 
-  IncrementalClosedSetMiner miner(stream.NumItems());
+  StreamMinerOptions stream_options;
+  stream_options.max_items = stream.NumItems();  // no panes: landmark mode
+  StreamMiner miner(stream_options);
   const std::size_t report_every = 1000;
   for (std::size_t k = 0; k < stream.NumTransactions(); ++k) {
     Status status = miner.AddTransaction(stream.transaction(k));
@@ -53,8 +55,8 @@ int main() {
               [](const ClosedItemset& a, const ClosedItemset& b) {
                 return a.support > b.support;
               });
-    std::printf("after %5zu transactions (smin %u, repository %zu nodes):\n",
-                k + 1, smin, miner.NodeCount());
+    std::printf("after %5zu transactions (smin %u, %zu closed sets):\n",
+                k + 1, smin, snapshot.value().size());
     for (std::size_t i = 0; i < std::min<std::size_t>(3, multi.size());
          ++i) {
       std::printf("   %s  support %u\n",

@@ -12,7 +12,7 @@
 namespace fim::io {
 
 /// Raw little-endian scalar I/O shared by the binary formats (FIMB
-/// databases, fim-tree-v1 repository blobs, fim-stream-v1 checkpoints).
+/// databases, fim-stream-v2 checkpoints).
 /// The library only targets little-endian platforms, so the in-memory
 /// representation is the wire representation.
 template <typename T>

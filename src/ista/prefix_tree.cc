@@ -171,158 +171,6 @@ void IstaPrefixTree::Report(Support min_support,
   }
 }
 
-void IstaPrefixTree::Merge(const IstaPrefixTree& other) {
-  FIM_CHECK(&other != this) << "cannot merge a repository into itself";
-  FIM_CHECK(in_transaction_.size() == other.in_transaction_.size())
-      << "cannot merge repositories over different item universes ("
-      << in_transaction_.size() << " vs " << other.in_transaction_.size()
-      << " items)";
-  // Max-plus product merge. The repository of the concatenated streams
-  // stores the pairwise intersections a∩b of the two stored families,
-  // with supp(x) = supp_A(cl_A(x)) + supp_B(cl_B(x)). Every stored set b
-  // of `other` is replayed against this tree: for each own stored set S
-  // the node S∩b is created or updated to max(old, aside(S) + supp_B(b)),
-  // where aside(S) is the support S receives from this tree's own
-  // pre-merge side alone. Each such update is certified by the stored
-  // pair (S, b) — it never exceeds the true union support — and the pair
-  // (cl_A(y), cl_B(y)) of any union-frequent set y yields its exact
-  // union support. The argument needs both repositories unpruned (see
-  // the contract in prefix_tree.h).
-  std::vector<Support> aside(node_supp_.begin(),
-                             node_supp_.begin() + next_index_);
-  const uint32_t frozen = next_index_;
-  total_weight_ += other.total_weight_;
-  if (other.step_ > step_) step_ = other.step_;
-  // Absorb the other repository's observability history, so the merged
-  // tree reports totals over both.
-  peak_node_count_ = std::max(peak_node_count_, other.peak_node_count_);
-  prune_count_ += other.prune_count_;
-  isect_steps_ += other.isect_steps_;
-  // Pre-order DFS over the other repository, replaying every stored set.
-  struct Frame {
-    uint32_t node;
-    uint32_t child;
-  };
-  std::vector<Frame> stack;
-  std::vector<ItemId> path;       // root path in other, descending codes
-  std::vector<ItemId> ascending;  // scratch: replayed stored set
-  auto replay = [&](uint32_t n) {
-    // Only closed stored sets need replaying: a set masked by an
-    // equal-support child is dominated by a closed superset Z with the
-    // same stored support, and Z's replay produces every intersection the
-    // masked set could contribute, with the same candidate value (any
-    // union-closed y has cl_B(y) closed in B). Skipping masked
-    // sets keeps the replay linear in the closed family — in particular a
-    // single deep chain replays one set, not one per prefix.
-    Support max_child = 0;
-    for (uint32_t c = other.links_[ChildSlot(n)]; c != kNil;
-         c = other.links_[SibSlot(c)]) {
-      if (other.node_supp_[c] > max_child) max_child = other.node_supp_[c];
-    }
-    if (other.node_supp_[n] <= max_child) return;
-    ascending.assign(path.rbegin(), path.rend());
-    ReplayStoredSet(ascending, other.node_supp_[n], other.node_trans_[n],
-                    frozen, &aside);
-  };
-  for (uint32_t c = other.links_[ChildSlot(kRoot)]; c != kNil;
-       c = other.links_[SibSlot(c)]) {
-    path.push_back(other.node_item_[c]);
-    replay(c);
-    stack.push_back(Frame{c, other.links_[ChildSlot(c)]});
-    while (!stack.empty()) {
-      Frame& frame = stack.back();
-      if (frame.child == kNil) {
-        path.pop_back();
-        stack.pop_back();
-        continue;
-      }
-      const uint32_t child = frame.child;
-      frame.child = other.links_[SibSlot(child)];
-      path.push_back(other.node_item_[child]);
-      replay(child);
-      stack.push_back(Frame{child, other.links_[ChildSlot(child)]});
-    }
-  }
-  FIM_DCHECK_OK(ValidateInvariants());
-}
-
-void IstaPrefixTree::ReplayStoredSet(std::span<const ItemId> items,
-                                     Support other_supp, Support other_trans,
-                                     uint32_t frozen,
-                                     std::vector<Support>* aside) {
-  for (ItemId i : items) in_transaction_[i] = 1;
-  imin_ = items.front();
-  // Insert the set's path and raise every node on it to at least the
-  // other side's support: each path prefix is a subset of the set, so its
-  // union support is at least supp_B(b). Raising the whole path (rather
-  // than only the final node) keeps the parent-support monotonicity, and
-  // each prefix keeps an on-path child of equal support, so a prefix that
-  // is not itself an intersection can never look closed. The own-side
-  // support of a fresh path node is 0.
-  uint32_t current = kRoot;
-  for (std::size_t idx = items.size(); idx > 0; --idx) {
-    current = FindOrCreateChild(current, items[idx - 1], 0);
-    if (aside->size() < next_index_) aside->resize(next_index_, 0);
-    if (other_supp > node_supp_[current]) node_supp_[current] = other_supp;
-  }
-  node_trans_[current] += other_trans;
-  IsectMax(links_[ChildSlot(kRoot)], ChildSlot(kRoot), other_supp, frozen,
-           aside);
-  for (ItemId i : items) in_transaction_[i] = 0;
-}
-
-void IstaPrefixTree::IsectMax(uint32_t node, uint32_t ins_slot,
-                              Support other_supp, uint32_t frozen,
-                              std::vector<Support>* aside) {
-  // The walk of Isect with the additive update replaced by a max with
-  // aside(S) + other_supp. Only nodes that existed before the merge
-  // (index < frozen) act as stored sets S: newer nodes' intersections are
-  // already covered by the pre-merge nodes that created them. A new node's subtree holds only new nodes, so
-  // whole new subtrees are skipped. No step stamps are needed: max is
-  // idempotent, unlike the additive update of a transaction pass.
-  isect_stack_.clear();
-  isect_stack_.push_back(IsectFrame{node, ins_slot});
-  while (!isect_stack_.empty()) {
-    node = isect_stack_.back().node;
-    uint32_t ins = isect_stack_.back().ins_slot;
-    isect_stack_.pop_back();
-    while (node != kNil) {
-      ++isect_steps_;
-      if (node >= frozen) {  // created during the merge: not a source
-        node = links_[SibSlot(node)];
-        continue;
-      }
-      const ItemId i = node_item_[node];
-      if (in_transaction_[i]) {
-        const Support source_aside = (*aside)[node];
-        const Support candidate = source_aside + other_supp;
-        while (links_[ins] != kNil && node_item_[links_[ins]] > i) {
-          ins = SibSlot(links_[ins]);
-        }
-        uint32_t d = links_[ins];
-        if (d != kNil && node_item_[d] == i) {
-          if (candidate > node_supp_[d]) node_supp_[d] = candidate;
-          if (source_aside > (*aside)[d]) (*aside)[d] = source_aside;
-        } else {
-          d = NewNode(i, 0, candidate);
-          aside->push_back(source_aside);
-          links_[SibSlot(d)] = links_[ins];
-          links_[ins] = d;
-        }
-        if (i <= imin_) break;  // nothing below the set's minimum item
-        isect_stack_.push_back(IsectFrame{links_[SibSlot(node)], ins});
-        const uint32_t child_ins = ChildSlot(d);
-        node = links_[ChildSlot(node)];
-        ins = child_ins;
-      } else {
-        if (i <= imin_) break;
-        isect_stack_.push_back(IsectFrame{links_[SibSlot(node)], ins});
-        node = links_[ChildSlot(node)];
-      }
-    }
-  }
-}
-
 void IstaPrefixTree::Prune(Support min_support,
                            std::span<const Support> remaining) {
   FIM_DCHECK(remaining.size() == in_transaction_.size())

@@ -2,7 +2,6 @@
 #define FIM_ISTA_PREFIX_TREE_H_
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -44,20 +43,6 @@ class IstaPrefixTree {
   /// < num_items.
   void AddTransaction(std::span<const ItemId> items, Support weight = 1);
 
-  /// Folds another repository into this one by replaying each of its
-  /// stored sets against this tree's own stored sets with a max-plus
-  /// update: the node for S∩b is raised to supp(S) + supp(b) for every
-  /// stored pair, which is exactly the support of S∩b in the
-  /// concatenated stream when S and b are the respective closures. The
-  /// closed sets reported afterwards are identical to a single
-  /// sequential run over both streams, provided both repositories were
-  /// built by AddTransaction and Merge only and never pruned — which is
-  /// how StreamMiner builds its segments. A pruned repository is outside
-  /// this contract: reductions over pruned repositories can report a
-  /// wrong family (docs/PARALLELISM.md names an input). `other` must
-  /// share this tree's item universe and must not alias `*this`.
-  void Merge(const IstaPrefixTree& other);
-
   /// Reports every stored set with support >= min_support whose support
   /// exceeds the support of all its direct children (the closedness check
   /// of Figure 4). Items are passed to the callback in ascending order.
@@ -74,30 +59,23 @@ class IstaPrefixTree {
   /// Number of live nodes (excluding the pseudo-root).
   std::size_t NodeCount() const { return node_count_; }
 
-  /// Size of the item universe this repository was created over.
-  std::size_t NumItems() const { return in_transaction_.size(); }
-
   /// High-water mark of NodeCount() over the tree's whole history,
-  /// including the transient growth during Merge replays (which an
-  /// external observer polling NodeCount() between operations misses).
-  /// Merge folds the absorbed repository's peak in.
+  /// including the sizes each Prune() shrank it from.
   std::size_t PeakNodeCount() const { return peak_node_count_; }
 
-  /// Number of Prune() rebuilds performed; Merge folds the absorbed
-  /// repository's count in.
+  /// Number of Prune() rebuilds performed.
   std::size_t PruneCount() const { return prune_count_; }
 
-  /// Repository nodes visited by the intersection walks (Figure 2's
-  /// Isect and the max-plus replay of Merge) — the paper's measure of
-  /// intersection work. Merge folds the absorbed repository's count in.
+  /// Repository nodes visited by the intersection walk (Figure 2's
+  /// Isect) — the paper's measure of intersection work.
   std::uint64_t IsectSteps() const { return isect_steps_; }
 
-  /// Number of transactions processed so far (weighted additions and
-  /// replayed merge transactions each count as one step).
+  /// Number of transactions processed so far (a weighted addition
+  /// counts as one step).
   std::size_t StepCount() const { return step_; }
 
   /// Total transaction weight processed so far (each AddTransaction adds
-  /// its weight; Merge adds the replayed weight of the other tree).
+  /// its weight).
   uint64_t TotalWeight() const { return total_weight_; }
 
   /// Exact heap footprint of the repository (capacity bytes of the SoA
@@ -120,7 +98,7 @@ class IstaPrefixTree {
   ///   - support never increases from parent to child (a child path is a
   ///     superset item set, so it is contained in no more transactions);
   ///   - no node's support exceeds the total transaction weight processed
-  ///     (weighted additions and merged repositories included);
+  ///     (weighted additions included);
   ///   - the accumulated per-node transaction weights sum to at most the
   ///     total transaction weight (pruning may shed weight, never gain);
   ///   - every allocated node is reachable exactly once (no cycles, no
@@ -129,28 +107,6 @@ class IstaPrefixTree {
   /// O(nodes). Debug builds run this automatically at mutation points via
   /// FIM_DCHECK; tests and fim-verify call it on demand.
   Status ValidateInvariants() const;
-
-  /// Serializes the repository into `out` in the versioned binary format
-  /// `fim-tree-v1` (implemented in tree_io.cc):
-  ///   char[4] "FIMT", u32 version (1),
-  ///   u64 num_items, u32 next_index, u32 step, u64 total_weight,
-  ///   u64 node_count, u64 peak_node_count, u64 prune_count,
-  ///   u64 isect_steps,
-  ///   then `next_index` nodes of
-  ///   (u32 step, u32 item, u32 supp, u32 trans, u32 sibling, u32 children)
-  /// in allocation order (node 0 is the pseudo-root). The dump captures
-  /// the exact node layout, so a deserialized tree behaves bit-identically
-  /// to the original under further AddTransaction/Merge/Prune/Report
-  /// calls. Must be called on a quiescent tree (never from inside a
-  /// mutation), which is the only state observable through the public API.
-  Status SerializeTo(std::ostream& out) const;
-
-  /// Reads one fim-tree-v1 blob from `in` (leaving the stream positioned
-  /// after it) and reconstructs the repository. Corrupted or truncated
-  /// input yields a clean InvalidArgument — the blob is fully range- and
-  /// invariant-checked (ValidateInvariants) before the tree is returned,
-  /// so no malformed structure can escape.
-  static Result<IstaPrefixTree> Deserialize(std::istream& in);
 
  private:
   friend struct IstaPrefixTreeTestPeer;  // corruption hooks for check_test
@@ -173,7 +129,7 @@ class IstaPrefixTree {
   static uint32_t SibSlot(uint32_t n) { return 2 * n + 1; }
 
   /// A view of one node's fields across the parallel arrays, for the
-  /// cold paths (validation, serialization, the test peer) that want the
+  /// cold paths (validation, the test peer) that want the
   /// old whole-node access. The references follow vector reallocation
   /// rules: do not hold one across NewNode.
   struct NodeRef {
@@ -181,8 +137,7 @@ class IstaPrefixTree {
     ItemId& item;        // item of this node (kInvalidItem for the root)
     Support& supp;       // support of the set on the root path
     Support& trans;      // accumulated weight of transactions equal to the
-                         // set on the root path (0 for pure intersections);
-                         // exactly the replay weights needed by Merge
+                         // set on the root path (0 for pure intersections)
     uint32_t& sibling;   // next node in the sibling list (descending items)
     uint32_t& children;  // head of the child list
   };
@@ -224,24 +179,6 @@ class IstaPrefixTree {
   /// (children/sibling) where intersection results for the current prefix
   /// are merged. `weight` is the multiplicity of the current transaction.
   void Isect(uint32_t node, uint32_t ins_slot, Support weight);
-
-  /// Merge helper: replays one stored set of the other repository
-  /// (`other_supp`/`other_trans` are its support and transaction weight
-  /// there) against this tree's pre-merge nodes: those with index
-  /// < `frozen`. `aside` holds, per node, the support contributed by this
-  /// tree's own pre-merge side alone (never the other repository's), so
-  /// candidates aside[S] + other_supp never double-count the other side;
-  /// it is grown in sync with node allocation.
-  void ReplayStoredSet(std::span<const ItemId> items, Support other_supp,
-                       Support other_trans, uint32_t frozen,
-                       std::vector<Support>* aside);
-
-  /// The walk of Isect with the max-plus update of Merge: for every
-  /// frozen stored set S compatible with the current replayed set, the
-  /// node of the intersection is raised to aside[S] + other_supp (and its
-  /// own aside to aside[S]).
-  void IsectMax(uint32_t node, uint32_t ins_slot, Support other_supp,
-                uint32_t frozen, std::vector<Support>* aside);
 
   /// Prune helper: re-inserts the filtered sets of the subtree headed by
   /// `node` into `target`, with `cursor` the target node representing the

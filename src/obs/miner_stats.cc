@@ -9,7 +9,6 @@ void MinerStats::MergeFrom(const MinerStats& other) {
   peak_nodes = std::max(peak_nodes, other.peak_nodes);
   final_nodes = std::max(final_nodes, other.final_nodes);
   prune_calls += other.prune_calls;
-  merge_calls += other.merge_calls;
   weighted_transactions += other.weighted_transactions;
   nodes_visited += other.nodes_visited;
   repo_sets += other.repo_sets;
@@ -33,7 +32,6 @@ std::vector<std::pair<const char*, std::uint64_t>> MinerStats::Counters()
       {"peak_nodes", peak_nodes},
       {"final_nodes", final_nodes},
       {"prune_calls", prune_calls},
-      {"merge_calls", merge_calls},
       {"weighted_transactions", weighted_transactions},
       {"nodes_visited", nodes_visited},
       {"repo_sets", repo_sets},

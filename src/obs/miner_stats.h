@@ -27,7 +27,6 @@ struct MinerStats {
   std::size_t peak_nodes = 0;      // max repository size
   std::size_t final_nodes = 0;     // repository size at report time
   std::size_t prune_calls = 0;     // item-elimination prunes
-  std::size_t merge_calls = 0;     // pairwise repository merges
   std::size_t weighted_transactions = 0;  // rows after duplicate merging
                                           // (IsTa, LCM, FP-close, CHARM)
 

@@ -11,7 +11,7 @@
 #include "common/status.h"
 #include "common/sync.h"
 #include "data/itemset.h"
-#include "ista/prefix_tree.h"
+#include "obs/memory.h"
 
 namespace fim {
 
@@ -23,9 +23,7 @@ class Trace;
 ///
 ///  * **Landmark** (`pane_size == 0 && window_panes == 0`): every snapshot
 ///    covers the whole stream since the start (or the restored
-///    checkpoint). This is the cumulative intersection scheme of the
-///    paper run online, with duplicate-run merging into weighted
-///    Figure-2 additions.
+///    checkpoint).
 ///
 ///  * **Pane-based sliding window** (`pane_size > 0 && window_panes > 0`):
 ///    the stream is chunked into tumbling panes of `pane_size`
@@ -33,8 +31,7 @@ class Trace;
 ///    the `window_panes - 1` most recent complete panes — between
 ///    `(window_panes - 1) * pane_size + 1` and
 ///    `window_panes * pane_size` transactions as the pane fills.
-///    Expiring a pane simply drops its repository; no deletion support
-///    in the prefix tree is needed, and every snapshot is exact.
+///    Expiring a pane simply drops its rows, and every snapshot is exact.
 struct StreamMinerOptions {
   /// Capacity of the item universe; every ingested item id must be below
   /// it. Must be > 0.
@@ -47,67 +44,60 @@ struct StreamMinerOptions {
   /// Must be > 0 exactly when pane_size > 0.
   std::size_t window_panes = 0;
 
-  /// Merge runs of identical consecutive transactions into one weighted
-  /// AddTransaction. Never changes snapshots (a weighted addition equals
-  /// that many unit additions); a substantial win on bursty streams.
-  bool merge_duplicate_transactions = true;
-
   /// Optional aggregated phase trace (obs/trace.h): rotate / query
-  /// (query-freeze, query-merge, query-compact, query-report) /
-  /// checkpoint spans; a timeline lane attached to the trace also gets
-  /// a "seal" instant and a "mem.sealed_mib" counter sample per sealed
-  /// segment. Thread contract: obs::Trace is thread-confined, so only
-  /// set this when a single thread performs every miner call (the
-  /// fim-stream driver does). Output-neutral; must outlive the miner.
+  /// (query-freeze, then the IsTa phases recode, dedup, shard-mine and
+  /// report) / checkpoint spans; a timeline lane attached to the trace
+  /// also gets a "seal" instant and a "mem.sealed_mib" counter sample
+  /// per sealed block. Thread contract: obs::Trace is thread-confined,
+  /// so only set this when a single thread performs every miner call
+  /// (the fim-stream driver does). Output-neutral; must outlive the
+  /// miner.
   obs::Trace* trace = nullptr;
 };
 
 /// Snapshot of a StreamMiner's execution counters (all cumulative since
-/// construction or checkpoint restore, except the two gauges).
+/// construction or checkpoint restore).
 struct StreamStats {
   std::uint64_t transactions_ingested = 0;  // raw AddTransaction calls
-  std::uint64_t weighted_additions = 0;     // Figure-2 adds after dup-merge
   std::uint64_t panes_rotated = 0;          // completed tumbling panes
   std::uint64_t panes_expired = 0;          // panes dropped out of the window
   std::uint64_t queries = 0;                // snapshot queries answered
-  std::uint64_t snapshot_merges = 0;        // tree merges run for snapshots
-  std::uint64_t segments_compacted = 0;     // segments folded by compaction
   std::uint64_t checkpoint_bytes_written = 0;
   std::uint64_t checkpoint_bytes_read = 0;
-  std::uint64_t live_segments = 0;          // gauge: sealed segments + live
-  std::uint64_t repository_nodes = 0;       // gauge: nodes across all trees
 
-  /// The nine cumulative counters (not the gauges) as
-  /// ("stream.<name>", value) pairs in name order — the `stream.*`
-  /// entries of the stats report and the sampler's JSONL lines.
+  // Always 0. The miner no longer keeps prefix trees, so it makes no
+  // weighted additions, tree merges, compactions or repository nodes.
+  // The fields remain because perfbench/fim_perfbench.cc, whose output
+  // schema is fixed, still reads them; nothing else does.
+  std::uint64_t weighted_additions = 0;
+  std::uint64_t snapshot_merges = 0;
+  std::uint64_t segments_compacted = 0;
+  std::uint64_t repository_nodes = 0;
+
+  /// The six live counters as ("stream.<name>", value) pairs in name
+  /// order — the `stream.*` entries of the stats report and the
+  /// sampler's JSONL lines.
   std::vector<std::pair<const char*, std::uint64_t>> Counters() const;
 };
 
-/// Continuous closed-item-set mining over a transaction stream — the
-/// online form of the paper's cumulative intersection scheme, built
-/// entirely from immutable IstaPrefixTree segments plus one writer-owned
-/// live tree:
+/// Continuous closed-item-set mining over a transaction stream. The
+/// miner keeps the covered rows, not a repository:
 ///
-///  * `AddTransaction` appends to the live tree (weighted, after
-///    duplicate-run merging). When a pane completes, the live tree is
-///    sealed into an immutable segment and a fresh live tree starts;
-///    panes that leave the window are dropped.
-///  * `Query` seals the live tree under the ingest lock (cheap pointer
-///    moves — the only time a reader blocks the writer is this pane
-///    rotation), then merges the covered segments *outside* the lock
-///    with the associative `IstaPrefixTree::Merge`, which reproduces the
-///    repository of the concatenated stream exactly. Afterwards it
-///    installs per-pane merged trees back (compaction), so a later query
-///    folds one repository per covered pane instead of one per seal.
+///  * `AddTransaction` appends to the writer-owned filling block. When a
+///    pane completes, the block is sealed (a pointer move) into an
+///    immutable shared block tagged with its pane; panes that leave the
+///    window are dropped.
+///  * `Query` seals the filling block under the ingest lock (the only
+///    time a reader blocks the writer), then concatenates the covered
+///    blocks *outside* the lock and batch-mines them with
+///    `MineClosedIsta` at the query's minimum support — so the snapshot
+///    gets IsTa's item elimination, duplicate merging and size ordering
+///    (paper §3.2-§3.4).
 ///
 /// Thread-safety: any number of threads may call any method
-/// concurrently. Sealed segments are immutable and shared by
-/// `shared_ptr`, so queries and checkpoints read them without
-/// synchronization while ingest proceeds into the new live tree.
-///
-/// Like IncrementalClosedSetMiner (now a wrapper over landmark mode), no
-/// global item statistics exist up front, so the repositories keep all
-/// closed sets and `min_support` only filters queries.
+/// concurrently. Sealed blocks are immutable and shared by `shared_ptr`,
+/// so queries and checkpoints read them without synchronization while
+/// ingest proceeds into a new filling block.
 class StreamMiner {
  public:
   /// Checks the option invariants (max_items > 0; pane_size and
@@ -124,28 +114,28 @@ class StreamMiner {
 
   /// Reports the closed item sets with support >= min_support (>= 1)
   /// over the current landmark history or window, items ascending. The
-  /// snapshot is exact: identical to batch-mining the covered
-  /// transaction multiset. Safe to call while other threads ingest; the
-  /// callback runs without any lock held.
+  /// snapshot is exact: it is batch IsTa over the covered transaction
+  /// multiset. Safe to call while other threads ingest; the callback
+  /// runs without any lock held.
   Status Query(Support min_support, const ClosedSetCallback& callback)
       FIM_EXCLUDES(mutex_);
 
   /// Convenience: collect the current snapshot in canonical order.
   Result<std::vector<ClosedItemset>> QueryCollect(Support min_support);
 
-  /// Serializes the full miner state (segments, live tree, pending
-  /// duplicate run, counters) as one `fim-stream-v1` checkpoint, so a
-  /// later Restore continues the stream with output bit-identical to an
-  /// uninterrupted run. Ingest may proceed concurrently: the state is
-  /// snapshotted under the lock (sealing the live tree), then written
-  /// outside it.
+  /// Serializes the full miner state (the covered rows per pane and the
+  /// counters) as one `fim-stream-v2` checkpoint, so a later Restore
+  /// continues the stream with output bit-identical to an uninterrupted
+  /// run. Ingest may proceed concurrently: the state is snapshotted
+  /// under the lock (sealing the filling block), then written outside
+  /// it.
   Status Checkpoint(const std::string& path) FIM_EXCLUDES(mutex_);
   Status CheckpointTo(std::ostream& out) FIM_EXCLUDES(mutex_);
 
   /// Reconstructs a miner from a checkpoint. Corrupted or truncated
-  /// input yields a clean InvalidArgument (every embedded tree blob is
-  /// invariant-checked). `trace` plays the role of
-  /// StreamMinerOptions::trace for the restored miner (same contract).
+  /// input, and `fim-stream-v1` files, yield a clean InvalidArgument.
+  /// `trace` plays the role of StreamMinerOptions::trace for the
+  /// restored miner (same contract).
   static Result<std::unique_ptr<StreamMiner>> Restore(
       const std::string& path, obs::Trace* trace = nullptr);
   static Result<std::unique_ptr<StreamMiner>> RestoreFrom(
@@ -159,70 +149,66 @@ class StreamMiner {
   /// pane_size in window mode; always 0 in landmark mode).
   std::uint64_t CurrentPaneIndex() const FIM_EXCLUDES(mutex_);
 
-  /// Total repository nodes across all live segments and the live tree
-  /// (memory diagnostics; may shrink when panes expire or queries
-  /// compact segments).
-  std::size_t NodeCount() const FIM_EXCLUDES(mutex_);
-
   /// Current counter snapshot.
   StreamStats Stats() const FIM_EXCLUDES(mutex_);
 
-  /// Exact heap footprint as a breakdown named "stream": the live tree,
-  /// one child per sealed segment ("segment-<i>", pane-tagged names
-  /// would collide after compaction), and the pending duplicate run.
-  /// O(segments); safe to call while other threads ingest.
+  /// Exact heap footprint as a breakdown named "stream": the filling
+  /// rows, one child per sealed block ("block-<i>"; in landmark mode
+  /// every block belongs to pane 0, so pane-tagged names would collide)
+  /// and the block list. O(blocks); safe to call while other threads
+  /// ingest.
   obs::MemoryComponent ApproxMemoryUsage() const FIM_EXCLUDES(mutex_);
 
   const StreamMinerOptions& options() const { return options_; }
 
  private:
-  /// One sealed, immutable repository covering a slice of a pane (a
-  /// whole pane once compacted). `pane` orders segments; in landmark
-  /// mode every segment belongs to the single eternal pane 0.
-  struct Segment {
+  using Rows = std::vector<std::vector<ItemId>>;
+
+  /// One sealed, immutable run of rows of a pane. `pane` orders blocks;
+  /// in landmark mode every block belongs to the single eternal pane 0.
+  /// `bytes` is the heap footprint of the rows, fixed at sealing.
+  struct Block {
     std::uint64_t pane = 0;
-    std::shared_ptr<const IstaPrefixTree> tree;
+    std::shared_ptr<const Rows> rows;
+    std::size_t bytes = 0;
   };
 
   /// Everything a checkpoint captures, copied out under the lock.
   struct FrozenState {
-    std::vector<Segment> segments;
-    std::vector<ItemId> pending_items;
-    Support pending_weight = 0;
+    std::vector<Block> blocks;
     std::uint64_t ingested = 0;
     std::uint64_t fill = 0;
     std::uint64_t current_pane = 0;
     StreamStats counters;
   };
 
-  explicit StreamMiner(const StreamMinerOptions& options, bool restored);
+  /// Heap bytes of a row list (capacities: spine plus every row).
+  static std::size_t RowBytes(const Rows& rows);
 
-  /// Applies the pending duplicate run to the live tree (weighted
-  /// Figure-2 addition).
-  void FlushPendingLocked() FIM_REQUIRES(mutex_);
+  /// RowBytes(filling_) in O(1).
+  std::size_t FillingBytesLocked() const FIM_REQUIRES(mutex_);
 
-  /// Moves a non-empty live tree into an immutable segment of the
-  /// current pane and starts a fresh live tree.
-  void SealLiveLocked() FIM_REQUIRES(mutex_);
+  /// Moves a non-empty filling block into an immutable block of the
+  /// current pane and starts a fresh one.
+  void SealLocked() FIM_REQUIRES(mutex_);
 
   /// Completes the current pane: advances the pane index and drops the
-  /// segments that left the window.
+  /// blocks that left the window.
   void RotateLocked() FIM_REQUIRES(mutex_);
 
-  /// Copies the checkpoint/query state out.
+  /// Seals the filling block and copies the checkpoint state out.
   FrozenState FreezeLocked() FIM_REQUIRES(mutex_);
 
   const StreamMinerOptions options_;
 
   mutable Mutex mutex_{LockRank::kStreamMiner, "StreamMiner"};
-  // Sealed segments, pane non-decreasing. The vector is guarded; the
-  // trees behind the shared_ptrs are immutable and read lock-free.
-  std::vector<Segment> segments_ FIM_GUARDED_BY(mutex_);
-  // Writer-owned current tree.
-  std::unique_ptr<IstaPrefixTree> live_ FIM_GUARDED_BY(mutex_);
-  // Current duplicate run (weight 0 = no pending run).
-  std::vector<ItemId> pending_items_ FIM_GUARDED_BY(mutex_);
-  Support pending_weight_ FIM_GUARDED_BY(mutex_) = 0;
+  // Sealed blocks, pane non-decreasing. The vector is guarded; the rows
+  // behind the shared_ptrs are immutable and read lock-free.
+  std::vector<Block> blocks_ FIM_GUARDED_BY(mutex_);
+  // Writer-owned rows of the current pane not sealed yet, and the sum of
+  // their capacities in bytes.
+  Rows filling_ FIM_GUARDED_BY(mutex_);
+  std::size_t filling_item_bytes_ FIM_GUARDED_BY(mutex_) = 0;
   std::uint64_t ingested_ FIM_GUARDED_BY(mutex_) = 0;
   // Transactions in the current pane / index of the filling pane.
   std::uint64_t fill_ FIM_GUARDED_BY(mutex_) = 0;

@@ -1,7 +1,6 @@
-// libFuzzer harness for the `fim-stream-v1` checkpoint loader
-// (StreamMiner::RestoreFrom) — the container format around fim-tree-v1
-// blobs, including counters, the pending duplicate run and the pane
-// bookkeeping. Every input must restore cleanly or fail with a clean
+// libFuzzer harness for the `fim-stream-v2` checkpoint loader
+// (StreamMiner::RestoreFrom) — counters, pane bookkeeping and the
+// covered rows. Every input must restore cleanly or fail with a clean
 // InvalidArgument; a checkpoint that restores must itself checkpoint
 // again, and that second-generation checkpoint must restore too (the
 // write path and the read path agree on the format).

@@ -1,13 +1,13 @@
 // Seed-corpus generator for the fuzz harnesses. Binary seeds (the
-// fim-tree-v1 and fim-stream-v1 blobs) are produced from the live
-// serializers at build time instead of being checked in, so the corpora
-// track format changes automatically; the text FIMI seeds live in
+// fim-stream-v2 checkpoints) are produced from the live serializer at
+// build time instead of being checked in, so the corpora track format
+// changes automatically; the text FIMI seeds live in
 // tests/fuzz/corpus/fimi/ under version control. Usage:
 //
 //   fuzz_make_seeds <output-dir>
 //
-// creates <output-dir>/{fimi,tree,stream}/ and fills each with a
-// handful of valid blobs plus a truncated and a bit-flipped variant
+// creates <output-dir>/{fimi,stream}/ and fills each with a handful of
+// valid blobs plus a truncated and a bit-flipped variant
 // (the loaders must reject those cleanly, and the mutants give the
 // fuzzer a head start on the interesting error paths).
 
@@ -22,7 +22,6 @@
 #include "common/check.h"
 #include "data/fimi_io.h"
 #include "data/transaction_database.h"
-#include "ista/prefix_tree.h"
 #include "stream/stream_miner.h"
 
 namespace {
@@ -50,22 +49,13 @@ void WriteSeedFamily(const std::filesystem::path& dir, const std::string& stem,
 }
 
 // The example stream from the paper-derived tests: small, with
-// duplicate runs and overlapping itemsets, so the serialized trees have
-// shared prefixes, stored intersection nodes and weight > 1 edges.
+// duplicate runs and overlapping itemsets.
 const std::vector<std::vector<fim::ItemId>>& SampleTransactions() {
   static const std::vector<std::vector<fim::ItemId>> kTransactions = {
       {0, 1, 2}, {0, 1, 2}, {1, 2, 3}, {0, 2, 3, 4},
       {4},       {0, 1},    {2, 3},    {0, 1, 2, 3, 4},
   };
   return kTransactions;
-}
-
-std::string SerializedTree() {
-  fim::IstaPrefixTree tree(8);
-  for (const auto& txn : SampleTransactions()) tree.AddTransaction(txn);
-  std::ostringstream out;
-  FIM_CHECK(tree.SerializeTo(out).ok());
-  return out.str();
 }
 
 std::string StreamCheckpoint(std::size_t pane_size, std::size_t window_panes) {
@@ -90,10 +80,8 @@ int main(int argc, char** argv) {
   }
   const std::filesystem::path root(argv[1]);
   const std::filesystem::path fimi_dir = root / "fimi";
-  const std::filesystem::path tree_dir = root / "tree";
   const std::filesystem::path stream_dir = root / "stream";
   std::filesystem::create_directories(fimi_dir);
-  std::filesystem::create_directories(tree_dir);
   std::filesystem::create_directories(stream_dir);
 
   // FIMI: render the sample database through the real writer (the
@@ -103,7 +91,6 @@ int main(int argc, char** argv) {
   for (const auto& txn : SampleTransactions()) db.AddTransaction(txn);
   WriteSeed(fimi_dir, "sample.fimi", fim::ToFimiString(db));
 
-  WriteSeedFamily(tree_dir, "tree_sample", SerializedTree());
   WriteSeedFamily(stream_dir, "stream_landmark", StreamCheckpoint(0, 0));
   WriteSeedFamily(stream_dir, "stream_window", StreamCheckpoint(3, 2));
 

@@ -165,14 +165,14 @@ TEST(ApproxMemoryUsageTest, StreamMinerBreaksDownLiveTreeAndSegments) {
   }
   const MemoryComponent component = miner.ApproxMemoryUsage();
   EXPECT_EQ(component.name, "stream");
-  bool has_live = false;
-  bool has_segment = false;
+  bool has_filling = false;
+  bool has_block = false;
   for (const auto& child : component.children) {
-    if (child.name == "live-tree") has_live = true;
-    if (child.name.rfind("segment-", 0) == 0) has_segment = true;
+    if (child.name == "filling-rows") has_filling = true;
+    if (child.name == "block-0") has_block = child.self_bytes > 0;
   }
-  EXPECT_TRUE(has_live);
-  EXPECT_TRUE(has_segment);
+  EXPECT_TRUE(has_filling);
+  EXPECT_TRUE(has_block);
   EXPECT_GT(component.TotalBytes(), 0u);
 }
 

@@ -129,7 +129,7 @@ TEST(IstaDeepTest, InterleavedPrunesKeepSupportsExact) {
 
 TEST(IstaDeepTest, AdversariallyDeepChainsDoNotOverflowTheStack) {
   // One very long transaction creates a repository path with one node per
-  // item. Insert, intersect, report, prune, and merge all walk that chain
+  // item. Insert, intersect, report and prune all walk that chain
   // end to end; with the recursive formulation each of them would need
   // ~depth stack frames and crash long before this size.
   const std::size_t depth = 60000;
@@ -143,7 +143,7 @@ TEST(IstaDeepTest, AdversariallyDeepChainsDoNotOverflowTheStack) {
   tree.AddTransaction(shorter);  // deep intersection result
   ASSERT_TRUE(tree.ValidateInvariants().ok());
 
-  auto sets = Collect(tree, 1);  // Report walks the chain
+  const auto sets = Collect(tree, 1);  // Report walks the chain
   ASSERT_EQ(sets.size(), 2u);
   EXPECT_EQ(sets.at(items), 2u);
   EXPECT_EQ(sets.at(shorter), 3u);
@@ -152,14 +152,6 @@ TEST(IstaDeepTest, AdversariallyDeepChainsDoNotOverflowTheStack) {
   tree.Prune(2, remaining);  // PruneInto walks the chain
   ASSERT_TRUE(tree.ValidateInvariants().ok());
   EXPECT_EQ(Collect(tree, 2), sets);
-
-  IstaPrefixTree other(depth);
-  other.AddTransaction(items);
-  tree.Merge(other);  // ReplayStoredSet + IsectMax walk the chain
-  ASSERT_TRUE(tree.ValidateInvariants().ok());
-  sets = Collect(tree, 1);
-  EXPECT_EQ(sets.at(items), 3u);
-  EXPECT_EQ(sets.at(shorter), 4u);
 }
 
 TEST(IstaDeepTest, StepCountSurvivesPrune) {

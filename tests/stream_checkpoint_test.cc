@@ -1,94 +1,23 @@
-// Tests of prefix-tree serialization (fim-tree-v1) and StreamMiner
-// checkpoint/restore (fim-stream-v1): a restored miner must continue
-// the stream with output bit-identical to the uninterrupted one, and
-// corrupted or truncated input must be rejected with a clean Status.
+// Tests of StreamMiner checkpoint/restore (fim-stream-v2): a restored
+// miner must continue the stream with output bit-identical to the
+// uninterrupted one, and corrupted, truncated or version-1 input must be
+// rejected with a clean Status.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "data/binary_io.h"
 #include "data/generators.h"
-#include "ista/prefix_tree.h"
 #include "stream/stream_miner.h"
 
 namespace fim {
 namespace {
-
-std::vector<ClosedItemset> ReportAll(const IstaPrefixTree& tree,
-                                     Support min_support) {
-  ClosedSetCollector collector;
-  tree.Report(min_support, collector.AsCallback());
-  collector.SortCanonical();
-  return collector.TakeSets();
-}
-
-TEST(TreeIoTest, RoundTripContinuesIdentically) {
-  const TransactionDatabase db = GenerateRandomDense(40, 14, 0.35, 11);
-  IstaPrefixTree original(db.NumItems());
-  for (std::size_t k = 0; k < 25; ++k) {
-    original.AddTransaction(db.transaction(k), 1 + k % 3);
-  }
-  std::stringstream blob(std::ios::in | std::ios::out | std::ios::binary);
-  ASSERT_TRUE(original.SerializeTo(blob).ok());
-  auto restored = IstaPrefixTree::Deserialize(blob);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  IstaPrefixTree copy = std::move(restored).value();
-  EXPECT_TRUE(copy.ValidateInvariants().ok());
-  EXPECT_EQ(copy.NodeCount(), original.NodeCount());
-  EXPECT_EQ(copy.StepCount(), original.StepCount());
-  EXPECT_EQ(copy.TotalWeight(), original.TotalWeight());
-  EXPECT_EQ(copy.IsectSteps(), original.IsectSteps());
-  EXPECT_EQ(ReportAll(copy, 1), ReportAll(original, 1));
-  // The dump captures the exact node layout, so further mutations
-  // behave bit-identically on both trees.
-  for (std::size_t k = 25; k < db.NumTransactions(); ++k) {
-    original.AddTransaction(db.transaction(k));
-    copy.AddTransaction(db.transaction(k));
-    EXPECT_EQ(copy.NodeCount(), original.NodeCount());
-    EXPECT_EQ(ReportAll(copy, 2), ReportAll(original, 2));
-  }
-}
-
-TEST(TreeIoTest, RejectsCorruptBlobs) {
-  IstaPrefixTree tree(6);
-  tree.AddTransaction(std::vector<ItemId>{0, 2, 4});
-  tree.AddTransaction(std::vector<ItemId>{0, 2, 5});
-  std::ostringstream out(std::ios::binary);
-  ASSERT_TRUE(tree.SerializeTo(out).ok());
-  const std::string good = out.str();
-
-  {  // bad magic
-    std::string bad = good;
-    bad[0] = 'X';
-    std::istringstream in(bad, std::ios::binary);
-    EXPECT_FALSE(IstaPrefixTree::Deserialize(in).ok());
-  }
-  {  // unsupported version
-    std::string bad = good;
-    bad[4] = 9;
-    std::istringstream in(bad, std::ios::binary);
-    EXPECT_FALSE(IstaPrefixTree::Deserialize(in).ok());
-  }
-  // Truncation at every prefix length must fail cleanly, never crash.
-  for (std::size_t len = 0; len < good.size(); len += 3) {
-    std::istringstream in(good.substr(0, len), std::ios::binary);
-    EXPECT_FALSE(IstaPrefixTree::Deserialize(in).ok()) << "length " << len;
-  }
-  {  // corrupt a node link deep in the blob: the invariant check catches
-     // what the header checks cannot
-    std::string bad = good;
-    for (std::size_t at = bad.size() - 8; at < bad.size(); ++at) {
-      bad[at] = static_cast<char>(0x7f);
-    }
-    std::istringstream in(bad, std::ios::binary);
-    auto result = IstaPrefixTree::Deserialize(in);
-    EXPECT_FALSE(result.ok());
-  }
-}
 
 void IngestSlice(StreamMiner* miner, const TransactionDatabase& db,
                  std::size_t begin, std::size_t end) {
@@ -153,7 +82,11 @@ void ExpectResumeBitIdentical(const StreamMinerOptions& options,
       ASSERT_TRUE(b.ok());
       EXPECT_EQ(a.value(), b.value()) << "after tx " << (k + 1);
     }
-    EXPECT_EQ(uninterrupted.NodeCount(), resumed.NodeCount());
+    auto a = uninterrupted.QueryCollect(1);
+    auto b = resumed.QueryCollect(1);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_EQ(a.value(), b.value());
   } else {
     IngestSlice(&first_half, db, cut, db.NumTransactions());
     IngestSlice(&resumed, db, cut, db.NumTransactions());
@@ -194,6 +127,8 @@ TEST(StreamCheckpointTest, WindowedResumeBitIdenticalFourThreads) {
 }
 
 TEST(StreamCheckpointTest, PendingDuplicateRunSurvivesCheckpoint) {
+  // A run of identical rows that straddles the checkpoint counts every
+  // copy on both sides, exactly as in the uninterrupted miner.
   StreamMinerOptions options;
   options.max_items = 8;
   StreamMiner miner(options);
@@ -205,13 +140,15 @@ TEST(StreamCheckpointTest, PendingDuplicateRunSurvivesCheckpoint) {
   ASSERT_TRUE(miner.CheckpointTo(checkpoint).ok());
   auto restored = StreamMiner::RestoreFrom(checkpoint);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  // The run keeps extending after the restore: still one weighted add.
   ASSERT_TRUE(restored.value()->AddTransaction({1, 2, 3}).ok());
+  ASSERT_TRUE(miner.AddTransaction({1, 2, 3}).ok());
   auto sets = restored.value()->QueryCollect(1);
+  auto uninterrupted = miner.QueryCollect(1);
   ASSERT_TRUE(sets.ok());
+  ASSERT_TRUE(uninterrupted.ok());
   ASSERT_EQ(sets.value().size(), 1u);
   EXPECT_EQ(sets.value()[0].support, 4u);
-  EXPECT_EQ(restored.value()->Stats().weighted_additions, 1u);
+  EXPECT_EQ(sets.value(), uninterrupted.value());
 }
 
 TEST(StreamCheckpointTest, CheckpointDuringConcurrentIngest) {
@@ -295,7 +232,7 @@ TEST(StreamCheckpointTest, RejectsCorruptCheckpoints) {
   }
   {  // unsupported version
     std::string bad = good;
-    bad[4] = 2;
+    bad[4] = 9;
     std::istringstream in(bad, std::ios::binary);
     EXPECT_FALSE(StreamMiner::RestoreFrom(in).ok());
   }
@@ -306,10 +243,17 @@ TEST(StreamCheckpointTest, RejectsCorruptCheckpoints) {
     EXPECT_FALSE(result.ok()) << "length " << len;
   }
   {  // inconsistent pane bookkeeping: tamper the ingested count (header
-     // offset 33 = magic 4 + version 4 + max_items/pane_size/window 24 +
-     // merge flag 1)
+     // offset 32 = magic 4 + version 4 + max_items/pane_size/window 24)
     std::string bad = good;
-    bad[33] = static_cast<char>(bad[33] + 1);
+    bad[32] = static_cast<char>(bad[32] + 1);
+    std::istringstream in(bad, std::ios::binary);
+    EXPECT_FALSE(StreamMiner::RestoreFrom(in).ok());
+  }
+  {  // a row item outside the universe: the last row's last item, just
+     // before the end marker
+    std::string bad = good;
+    const std::size_t last_item = bad.size() - 4 - sizeof(ItemId);
+    std::memset(&bad[last_item], 0xff, sizeof(ItemId));
     std::istringstream in(bad, std::ios::binary);
     EXPECT_FALSE(StreamMiner::RestoreFrom(in).ok());
   }
@@ -318,6 +262,22 @@ TEST(StreamCheckpointTest, RejectsCorruptCheckpoints) {
     std::istringstream in(bad, std::ios::binary);
     EXPECT_FALSE(StreamMiner::RestoreFrom(in).ok());
   }
+}
+
+TEST(StreamCheckpointTest, RejectsVersionOneByName) {
+  // A fim-stream-v1 file held prefix-tree segments, which this library
+  // can no longer read: the header alone is enough to refuse it.
+  std::ostringstream out(std::ios::binary);
+  out.write("FIMS", 4);
+  io::WritePod(out, uint32_t{1});
+  io::WritePod(out, uint64_t{16});
+  std::istringstream in(out.str(), std::ios::binary);
+  auto result = StreamMiner::RestoreFrom(in);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().ToString().find("version 1"),
+            std::string::npos)
+      << result.status().ToString();
 }
 
 }  // namespace

@@ -22,7 +22,7 @@
 //               header line (T counts from the start of the stream, so a
 //               resumed run emits the same headers at the same points)
 //   --checkpoint=PATH
-//               write a fim-stream-v1 checkpoint of the full miner state
+//               write a fim-stream-v2 checkpoint of the full miner state
 //               to PATH after the input is exhausted
 //   --checkpoint-every=N
 //               additionally checkpoint after every N transactions
@@ -50,8 +50,8 @@
 //               unavailable reason + rusage fallback where the kernel
 //               denies the PMU)
 //   --mem-stats
-//               collect the per-structure memory breakdown (live tree,
-//               sealed segments, pending run) and add the `memory`
+//               collect the per-structure memory breakdown (filling
+//               rows, sealed blocks) and add the `memory`
 //               section to the stats report (implies --stats); with
 //               --sample-every the sampler's JSONL lines additionally
 //               carry a live "mem" object
@@ -317,8 +317,8 @@ int main(int argc, char** argv) {
     obs::MetricsSamplerOptions sampler_options;
     sampler_options.period =
         std::chrono::milliseconds(args.sample_every_ms);
-    // Stats() and ApproxMemoryUsage() are O(segments) walks under the
-    // miner's mutex, cheap at sampler cadence.
+    // Stats() is O(1) and ApproxMemoryUsage() an O(blocks) walk under
+    // the miner's mutex, cheap at sampler cadence.
     StreamMiner* sampled = miner.get();
     sampler_options.counters = [sampled]() {
       return sampled->Stats().Counters();
@@ -430,12 +430,11 @@ int main(int argc, char** argv) {
   if (!args.quiet) {
     std::fprintf(
         stderr,
-        "fim-stream: %llu transactions (%llu weighted adds, %llu panes), "
-        "%zu sets at smin %u, %zu nodes, %.3fs\n",
+        "fim-stream: %llu transactions (%llu panes), %zu sets at smin %u, "
+        "%.3fs\n",
         static_cast<unsigned long long>(stream_stats.transactions_ingested),
-        static_cast<unsigned long long>(stream_stats.weighted_additions),
         static_cast<unsigned long long>(stream_stats.panes_rotated),
-        num_sets, args.min_support, miner->NodeCount(), total.Seconds());
+        num_sets, args.min_support, total.Seconds());
   }
   obs::StatsReport report;
   report.tool = "fim-stream";
