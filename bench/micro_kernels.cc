@@ -63,7 +63,9 @@ void BM_FpTreeInsert(benchmark::State& state) {
       static_cast<std::size_t>(state.range(0)), 200, 0.1, 13);
   for (auto _ : state) {
     FpTree tree(db.NumItems());
-    for (const auto& t : db.transactions()) tree.Insert(t, 1);
+    for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
+      tree.Insert(db.transaction(k), 1);
+    }
     benchmark::DoNotOptimize(tree.NodeCount());
   }
   state.SetItemsProcessed(state.iterations() *

@@ -23,7 +23,9 @@ void BM_IstaAddTransaction(benchmark::State& state) {
                          7);
   for (auto _ : state) {
     IstaPrefixTree tree(db.NumItems());
-    for (const auto& t : db.transactions()) tree.AddTransaction(t);
+    for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
+    tree.AddTransaction(db.transaction(k));
+  }
     benchmark::DoNotOptimize(tree.NodeCount());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -34,7 +36,9 @@ BENCHMARK(BM_IstaAddTransaction)->Arg(64)->Arg(256)->Arg(1024);
 void BM_IstaReport(benchmark::State& state) {
   const auto db = MakeDb(256, 200, 0.1, 7);
   IstaPrefixTree tree(db.NumItems());
-  for (const auto& t : db.transactions()) tree.AddTransaction(t);
+  for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
+    tree.AddTransaction(db.transaction(k));
+  }
   for (auto _ : state) {
     std::size_t count = 0;
     tree.Report(static_cast<Support>(state.range(0)),
@@ -50,7 +54,9 @@ void BM_IstaPrune(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     IstaPrefixTree tree(db.NumItems());
-    for (const auto& t : db.transactions()) tree.AddTransaction(t);
+    for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
+    tree.AddTransaction(db.transaction(k));
+  }
     state.ResumeTiming();
     tree.Prune(static_cast<Support>(state.range(0)), remaining);
     benchmark::DoNotOptimize(tree.NodeCount());
@@ -63,8 +69,8 @@ void BM_RepositoryInsert(benchmark::State& state) {
                          11);
   for (auto _ : state) {
     ClosedSetRepository repo(db.NumItems());
-    for (const auto& t : db.transactions()) {
-      benchmark::DoNotOptimize(repo.InsertIfAbsent(t));
+    for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
+      benchmark::DoNotOptimize(repo.InsertIfAbsent(db.transaction(k)));
     }
   }
   state.SetItemsProcessed(state.iterations() *
@@ -75,10 +81,12 @@ BENCHMARK(BM_RepositoryInsert)->Arg(256)->Arg(2048);
 void BM_RepositoryContains(benchmark::State& state) {
   const auto db = MakeDb(1024, 300, 0.05, 11);
   ClosedSetRepository repo(db.NumItems());
-  for (const auto& t : db.transactions()) repo.InsertIfAbsent(t);
+  for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
+    repo.InsertIfAbsent(db.transaction(k));
+  }
   for (auto _ : state) {
-    for (const auto& t : db.transactions()) {
-      benchmark::DoNotOptimize(repo.Contains(t));
+    for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
+      benchmark::DoNotOptimize(repo.Contains(db.transaction(k)));
     }
   }
   state.SetItemsProcessed(state.iterations() * 1024);

@@ -149,7 +149,7 @@ class CobblerMiner {
     for (Tid j = l; j < n_; ++j) {
       std::vector<ItemId> row = IntersectSorted(current, db_.transaction(j));
       if (row.size() == current.size()) ++rows_equal_to_current;
-      if (!row.empty()) conditional.AddTransaction(std::move(row));
+      if (!row.empty()) conditional.AddTransaction(row);
     }
 
     // I itself: supported by the chosen transactions plus the rows that

@@ -50,9 +50,10 @@ Status MineClosedFlatCumulative(const TransactionDatabase& db,
   // the resulting set; the value is the largest source support (the count
   // of earlier transactions containing the result).
   Repository updates;
-  for (const auto& t : coded.transactions()) {
+  for (std::size_t k = 0; k < coded.NumTransactions(); ++k) {
+    const std::span<const ItemId> t = coded.transaction(k);
     updates.clear();
-    updates.emplace(t, 0);
+    updates.emplace(std::vector<ItemId>(t.begin(), t.end()), 0);
     if (stats != nullptr) stats->isect_steps += repo.size();
     for (const auto& [stored, support] : repo) {
       std::vector<ItemId> inter = IntersectSorted(stored, t);

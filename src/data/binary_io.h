@@ -4,6 +4,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <type_traits>
 
 #include "common/status.h"
@@ -31,6 +32,11 @@ bool ReadPod(std::istream& in, T* value) {
   return static_cast<bool>(in);
 }
 
+/// Reads the whole file at `path` into one string, sized from the file
+/// up front (a file without a size, such as a pipe, is read in chunks).
+/// A directory is an IoError.
+Result<std::string> ReadFile(const std::string& path);
+
 }  // namespace fim::io
 
 namespace fim {
@@ -46,7 +52,16 @@ namespace fim {
 Status WriteBinaryFile(const TransactionDatabase& db,
                        const std::string& path);
 
-/// Reads a FIMB file; validates magic, version, and item bounds.
+/// Renders a database as FIMB bytes (what WriteBinaryFile writes).
+std::string ToFimbString(const TransactionDatabase& db);
+
+/// Parses FIMB bytes; validates magic, version, item bounds, and that
+/// every row fits in the bytes left (so a declared length never sizes an
+/// allocation by itself). Rows are normalized like AddTransaction's;
+/// bytes after the last row are ignored.
+Result<TransactionDatabase> ParseFimb(std::string_view bytes);
+
+/// Reads a FIMB file (ParseFimb on its contents).
 Result<TransactionDatabase> ReadBinaryFile(const std::string& path);
 
 /// Reads a database file of either format, dispatching on the magic

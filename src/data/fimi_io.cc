@@ -1,44 +1,25 @@
 #include "data/fimi_io.h"
 
-#include <cctype>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
-#include <sstream>
 
+#include "data/binary_io.h"
 #include "obs/memory.h"
 
 namespace fim {
 
 namespace {
 
-// Parses one FIMI line into `items`. Returns false on malformed input.
-bool ParseLine(std::string_view line, std::vector<ItemId>* items,
-               std::string* error) {
-  items->clear();
-  std::size_t pos = 0;
-  while (pos < line.size()) {
-    while (pos < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[pos]))) {
-      ++pos;
-    }
-    if (pos >= line.size()) break;
-    if (!std::isdigit(static_cast<unsigned char>(line[pos]))) {
-      *error = "unexpected character '" + std::string(1, line[pos]) + "'";
-      return false;
-    }
-    uint64_t value = 0;
-    while (pos < line.size() &&
-           std::isdigit(static_cast<unsigned char>(line[pos]))) {
-      value = value * 10 + static_cast<uint64_t>(line[pos] - '0');
-      if (value > kInvalidItem - 1) {
-        *error = "item id out of range";
-        return false;
-      }
-      ++pos;
-    }
-    items->push_back(static_cast<ItemId>(value));
-  }
-  return true;
+// The separators of the format: the "C" locale's whitespace, of which
+// '\n' ends a line.
+bool IsBlank(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+Status LineError(std::size_t line_no, const std::string& error) {
+  return Status::InvalidArgument("line " + std::to_string(line_no) + ": " +
+                                 error);
 }
 
 }  // namespace
@@ -46,43 +27,51 @@ bool ParseLine(std::string_view line, std::vector<ItemId>* items,
 Result<TransactionDatabase> ParseFimi(std::string_view text) {
   obs::MemDomainScope mem_domain(obs::MemDomain::kReader);
   TransactionDatabase db;
-  std::vector<ItemId> items;
-  std::string error;
-  std::size_t line_no = 0;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string_view::npos) end = text.size();
-    std::string_view line = text.substr(start, end - start);
-    ++line_no;
-    start = end + 1;
-    if (line.empty() || line[0] == '#') {
-      if (end == text.size()) break;
-      continue;
+  const char* p = text.data();
+  const char* const text_end = p + text.size();
+  for (std::size_t line_no = 1; p != text_end; ++line_no) {
+    const auto* newline = static_cast<const char*>(
+        std::memchr(p, '\n', static_cast<std::size_t>(text_end - p)));
+    const char* const line_end = newline != nullptr ? newline : text_end;
+    if (p != line_end && *p != '#') {
+      // Item ids go straight into the tail of the database's items; the
+      // row is normalized in place when the line ends.
+      for (;;) {
+        while (p != line_end && IsBlank(*p)) ++p;
+        if (p == line_end) break;
+        if (!IsDigit(*p)) {
+          return LineError(line_no,
+                           "unexpected character '" + std::string(1, *p) + "'");
+        }
+        uint64_t value = 0;
+        do {
+          value = value * 10 + static_cast<uint64_t>(*p - '0');
+          if (value > kInvalidItem - 1) {
+            return LineError(line_no, "item id out of range");
+          }
+          ++p;
+        } while (p != line_end && IsDigit(*p));
+        db.items_.push_back(static_cast<ItemId>(value));
+      }
+      db.CloseTransaction();
     }
-    if (!ParseLine(line, &items, &error)) {
-      return Status::InvalidArgument("line " + std::to_string(line_no) + ": " +
-                                     error);
-    }
-    db.AddTransaction(items);
-    if (end == text.size()) break;
+    if (newline == nullptr) break;
+    p = newline + 1;
   }
   return db;
 }
 
 Result<TransactionDatabase> ReadFimiFile(const std::string& path) {
   obs::MemDomainScope mem_domain(obs::MemDomain::kReader);
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return Status::IoError("read failure on " + path);
-  return ParseFimi(buffer.str());
+  Result<std::string> text = io::ReadFile(path);
+  if (!text.ok()) return text.status();
+  return ParseFimi(text.value());
 }
 
 std::string ToFimiString(const TransactionDatabase& db) {
   std::string out;
-  for (const auto& t : db.transactions()) {
+  for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
+    const std::span<const ItemId> t = db.transaction(k);
     for (std::size_t i = 0; i < t.size(); ++i) {
       if (i > 0) out += ' ';
       out += std::to_string(t[i]);

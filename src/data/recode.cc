@@ -123,7 +123,7 @@ class RowTable {
 }  // namespace
 
 std::vector<Support> WeightedDatabase::ItemSupports() const {
-  std::vector<Support> supports(num_items_, 0);
+  std::vector<Support> supports(num_items(), 0);
   for (std::size_t t = 0; t < size(); ++t) {
     for (ItemId item : row(t)) supports[item] += weights_[t];
   }
@@ -131,18 +131,12 @@ std::vector<Support> WeightedDatabase::ItemSupports() const {
 }
 
 std::vector<std::vector<Tid>> WeightedDatabase::BuildVertical() const {
-  std::vector<std::vector<Tid>> tidlists(num_items_);
-  for (std::size_t t = 0; t < size(); ++t) {
-    for (ItemId item : row(t)) tidlists[item].push_back(static_cast<Tid>(t));
-  }
-  return tidlists;
+  return rows_.BuildVertical();
 }
 
 obs::MemoryComponent WeightedDatabase::ApproxMemoryUsage() const {
-  obs::MemoryComponent db("weighted-db");
-  db.children.emplace_back("items", items_.capacity() * sizeof(ItemId));
-  db.children.emplace_back("offsets",
-                           offsets_.capacity() * sizeof(std::size_t));
+  obs::MemoryComponent db = rows_.ApproxMemoryUsage();
+  db.name = "weighted-db";
   db.children.emplace_back("weights", weights_.capacity() * sizeof(Support));
   return db;
 }
@@ -152,36 +146,67 @@ WeightedDatabase RecodeWeighted(const TransactionDatabase& db,
                                 TransactionOrder transaction_order,
                                 bool merge_duplicates) {
   WeightedDatabase out;
-  out.num_items_ = recoding.num_kept();
-  if (!merge_duplicates) {
-    out.items_.reserve(db.TotalItemOccurrences());
-    out.offsets_.reserve(db.NumTransactions() + 1);
-    out.weights_.reserve(db.NumTransactions());
-  }
-  const auto row_at = [&out](std::uint32_t r) { return out.row(r); };
-  RowTable table;
+  out.rows_.SetNumItems(recoding.num_kept());
   std::vector<ItemId> coded;  // the current row, mapped
-  for (const auto& transaction : db.transactions()) {
+  const auto map_row = [&](std::span<const ItemId> row) {
     coded.clear();
-    for (ItemId i : transaction) {
+    for (ItemId i : row) {
       if (i < recoding.old_to_new.size() &&
           recoding.old_to_new[i] != kInvalidItem) {
         coded.push_back(recoding.old_to_new[i]);
       }
     }
-    if (coded.empty()) continue;
     std::sort(coded.begin(), coded.end());
-    ++out.total_weight_;
-    if (merge_duplicates) {
-      const std::uint32_t r = table.FindOrInsert(coded, row_at);
-      if (r < out.weights_.size()) {
-        ++out.weights_[r];
-        continue;
+  };
+  if (!merge_duplicates) {
+    out.rows_.Reserve(db.NumTransactions(), db.TotalItemOccurrences());
+    out.weights_.reserve(db.NumTransactions());
+    for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
+      map_row(db.transaction(k));
+      if (coded.empty()) continue;
+      out.rows_.AddTransaction(coded);
+      out.weights_.push_back(1);
+    }
+    out.total_weight_ = static_cast<Support>(out.size());
+  } else {
+    // Merge identical input rows first, keyed by their spans in `db`
+    // (input rows are normalized, so equal sets are equal spans): by
+    // first occurrence, the index of each distinct row and its count.
+    std::vector<std::uint32_t> distinct;
+    std::vector<Support> counts;
+    {
+      RowTable table;
+      const auto distinct_at = [&](std::uint32_t r) {
+        return db.transaction(distinct[r]);
+      };
+      for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
+        const std::uint32_t r =
+            table.FindOrInsert(db.transaction(k), distinct_at);
+        if (r < distinct.size()) {
+          ++counts[r];
+        } else {
+          distinct.push_back(static_cast<std::uint32_t>(k));
+          counts.push_back(1);
+        }
       }
     }
-    out.items_.insert(out.items_.end(), coded.begin(), coded.end());
-    out.offsets_.push_back(out.items_.size());
-    out.weights_.push_back(1);
+    // Then map only the distinct rows and merge those that coincide
+    // after recoding. Taking them by first occurrence keeps the merged
+    // rows in first-occurrence order too.
+    RowTable table;
+    const auto row_at = [&out](std::uint32_t r) { return out.row(r); };
+    for (std::size_t r = 0; r < distinct.size(); ++r) {
+      map_row(db.transaction(distinct[r]));
+      if (coded.empty()) continue;
+      out.total_weight_ += counts[r];
+      const std::uint32_t c = table.FindOrInsert(coded, row_at);
+      if (c < out.weights_.size()) {
+        out.weights_[c] += counts[r];
+      } else {
+        out.rows_.AddTransaction(coded);
+        out.weights_.push_back(counts[r]);
+      }
+    }
   }
   if (transaction_order == TransactionOrder::kNone) return out;
 
@@ -195,15 +220,12 @@ WeightedDatabase RecodeWeighted(const TransactionDatabase& db,
     return less(out.row(a), out.row(b));
   });
   WeightedDatabase sorted;
-  sorted.num_items_ = out.num_items_;
+  sorted.rows_.SetNumItems(out.num_items());
   sorted.total_weight_ = out.total_weight_;
-  sorted.items_.reserve(out.items_.size());
-  sorted.offsets_.reserve(out.offsets_.size());
+  sorted.rows_.Reserve(out.size(), out.rows_.TotalItemOccurrences());
   sorted.weights_.reserve(out.weights_.size());
   for (std::uint32_t r : order) {
-    const std::span<const ItemId> row = out.row(r);
-    sorted.items_.insert(sorted.items_.end(), row.begin(), row.end());
-    sorted.offsets_.push_back(sorted.items_.size());
+    sorted.rows_.AddTransaction(out.row(r));
     sorted.weights_.push_back(out.weights_[r]);
   }
   return sorted;
@@ -213,15 +235,9 @@ TransactionDatabase ApplyRecoding(const TransactionDatabase& db,
                                   const Recoding& recoding,
                                   TransactionOrder transaction_order) {
   obs::MemDomainScope mem_domain(obs::MemDomain::kRecode);
-  const WeightedDatabase coded = RecodeWeighted(
-      db, recoding, transaction_order, /*merge_duplicates=*/false);
-  TransactionDatabase out;
-  for (std::size_t t = 0; t < coded.size(); ++t) {
-    const std::span<const ItemId> row = coded.row(t);
-    out.AddTransaction(std::vector<ItemId>(row.begin(), row.end()));
-  }
-  out.SetNumItems(recoding.num_kept());
-  return out;
+  WeightedDatabase coded = RecodeWeighted(db, recoding, transaction_order,
+                                          /*merge_duplicates=*/false);
+  return std::move(coded.rows_);
 }
 
 std::vector<ItemId> DecodeItems(std::span<const ItemId> coded,

@@ -45,20 +45,19 @@ Recoding ComputeRecoding(const TransactionDatabase& db, ItemOrder order,
 
 /// A recoded database with identical rows merged (paper §3.2-§3.4: IsTa
 /// processes transactions with multiplicities; LCM calls the same step
-/// database reduction). The rows are stored back to back, CSR-style: one
-/// items array plus row offsets, each row ascending and non-empty, with
-/// a weight per row (its multiplicity in the input). Built by
-/// RecodeWeighted; read-only afterwards, so parallel workers may share
-/// one instance.
+/// database reduction). The rows live in a TransactionDatabase's flat
+/// store (one items array plus row offsets, each row ascending and
+/// non-empty), with a weight per row (its multiplicity in the input).
+/// Built by RecodeWeighted; read-only afterwards, so parallel workers may
+/// share one instance.
 class WeightedDatabase {
  public:
   /// Number of (unique, when merged) rows.
   std::size_t size() const { return weights_.size(); }
-  std::size_t num_items() const { return num_items_; }
+  std::size_t num_items() const { return rows_.NumItems(); }
 
   std::span<const ItemId> row(std::size_t t) const {
-    return std::span<const ItemId>(items_).subspan(
-        offsets_[t], offsets_[t + 1] - offsets_[t]);
+    return rows_.transaction(t);
   }
   Support weight(std::size_t t) const { return weights_[t]; }
 
@@ -83,31 +82,32 @@ class WeightedDatabase {
   friend WeightedDatabase RecodeWeighted(const TransactionDatabase&,
                                          const Recoding&, TransactionOrder,
                                          bool);
+  friend TransactionDatabase ApplyRecoding(const TransactionDatabase&,
+                                           const Recoding&, TransactionOrder);
 
-  std::vector<ItemId> items_;            // rows, back to back
-  std::vector<std::size_t> offsets_{0};  // row t: [offsets_[t], [t + 1])
-  std::vector<Support> weights_;         // multiplicity of each row
-  std::size_t num_items_ = 0;
+  TransactionDatabase rows_;
+  std::vector<Support> weights_;  // multiplicity of each row
   Support total_weight_ = 0;
 };
 
 /// The recoding pass of every miner that recodes: maps each row of `db`
 /// through `recoding` (dropped items removed, rows re-sorted, rows left
 /// empty discarded) and, with `merge_duplicates`, merges identical coded
-/// rows into one weighted row. The rows are then ordered by
-/// `transaction_order`: by size, same-size rows lexicographically on
-/// their descending item sequence, as in the paper; kNone keeps the
-/// input order (first occurrence, when merged). Without merging every
-/// weight is 1 and identical rows stay separate (adjacent under a size
-/// order).
+/// rows into one weighted row. Merging first merges identical input rows
+/// by content, in place in `db`, so only the distinct input rows are
+/// mapped. The rows are then ordered by `transaction_order`: by size,
+/// same-size rows lexicographically on their descending item sequence,
+/// as in the paper; kNone keeps the input order (first occurrence, when
+/// merged). Without merging every weight is 1 and identical rows stay
+/// separate (adjacent under a size order).
 WeightedDatabase RecodeWeighted(const TransactionDatabase& db,
                                 const Recoding& recoding,
                                 TransactionOrder transaction_order,
                                 bool merge_duplicates);
 
-/// RecodeWeighted without merging, expanded into a TransactionDatabase
-/// (one transaction per non-empty input row) for the miners that keep
-/// rows separate.
+/// RecodeWeighted without merging, as a TransactionDatabase (one
+/// transaction per non-empty input row; the rows are moved out, not
+/// copied) for the miners that keep rows separate.
 TransactionDatabase ApplyRecoding(const TransactionDatabase& db,
                                   const Recoding& recoding,
                                   TransactionOrder transaction_order);

@@ -14,7 +14,8 @@ DatabaseStats ComputeStats(const TransactionDatabase& db) {
       static_cast<std::size_t>(std::count_if(freq.begin(), freq.end(),
                                              [](Support f) { return f > 0; }));
   s.min_transaction_size = s.num_transactions > 0 ? SIZE_MAX : 0;
-  for (const auto& t : db.transactions()) {
+  for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
+    const std::span<const ItemId> t = db.transaction(k);
     s.total_occurrences += t.size();
     s.min_transaction_size = std::min(s.min_transaction_size, t.size());
     s.max_transaction_size = std::max(s.max_transaction_size, t.size());

@@ -1,22 +1,61 @@
 #include "data/transaction_database.h"
 
 #include <algorithm>
+#include <functional>
 
 namespace fim {
 
 TransactionDatabase TransactionDatabase::FromTransactions(
-    std::vector<std::vector<ItemId>> transactions, std::size_t num_items) {
+    const std::vector<std::vector<ItemId>>& transactions,
+    std::size_t num_items) {
   TransactionDatabase db;
-  for (auto& t : transactions) db.AddTransaction(std::move(t));
+  for (const auto& t : transactions) db.AddTransaction(t);
   db.SetNumItems(num_items);
   return db;
 }
 
-void TransactionDatabase::AddTransaction(std::vector<ItemId> items) {
-  NormalizeItems(&items);
+void TransactionDatabase::AddTransaction(std::span<const ItemId> items) {
   if (items.empty()) return;
-  num_items_ = std::max(num_items_, static_cast<std::size_t>(items.back()) + 1);
-  transactions_.push_back(std::move(items));
+  const std::size_t begin = items_.size();
+  const std::less<const ItemId*> before;
+  if (!before(items.data(), items_.data()) &&
+      before(items.data(), items_.data() + begin)) {
+    // A row of this database: growing may move it, so copy it from its
+    // offset afterwards.
+    const auto from = static_cast<std::size_t>(items.data() - items_.data());
+    items_.resize(begin + items.size());
+    std::copy_n(items_.data() + from, items.size(), items_.data() + begin);
+  } else {
+    items_.insert(items_.end(), items.begin(), items.end());
+  }
+  CloseTransaction();
+}
+
+void TransactionDatabase::CloseTransaction() {
+  const auto first =
+      items_.begin() + static_cast<std::ptrdiff_t>(TotalItemOccurrences());
+  if (std::adjacent_find(first, items_.end(), std::greater_equal<>()) !=
+      items_.end()) {
+    std::sort(first, items_.end());
+    items_.erase(std::unique(first, items_.end()), items_.end());
+  }
+  if (first == items_.end()) return;
+  num_items_ =
+      std::max(num_items_, static_cast<std::size_t>(items_.back()) + 1);
+  ends_.push_back(items_.size());
+}
+
+void TransactionDatabase::Reserve(std::size_t transactions,
+                                  std::size_t items) {
+  ends_.reserve(ends_.size() + transactions);
+  items_.reserve(items_.size() + items);
+}
+
+void TransactionDatabase::Append(const TransactionDatabase& other) {
+  const std::size_t shift = items_.size();
+  items_.insert(items_.end(), other.items_.begin(), other.items_.end());
+  for (std::size_t end : other.ends_) ends_.push_back(shift + end);
+  num_items_ = std::max(num_items_, other.num_items_);
 }
 
 void TransactionDatabase::SetNumItems(std::size_t num_items) {
@@ -36,24 +75,16 @@ std::string TransactionDatabase::ItemName(ItemId item) const {
   return std::to_string(item);
 }
 
-std::size_t TransactionDatabase::TotalItemOccurrences() const {
-  std::size_t total = 0;
-  for (const auto& t : transactions_) total += t.size();
-  return total;
-}
-
 std::vector<Support> TransactionDatabase::ItemFrequencies() const {
   std::vector<Support> freq(num_items_, 0);
-  for (const auto& t : transactions_) {
-    for (ItemId i : t) ++freq[i];
-  }
+  for (ItemId i : items_) ++freq[i];
   return freq;
 }
 
 std::vector<std::vector<Tid>> TransactionDatabase::BuildVertical() const {
   std::vector<std::vector<Tid>> tidlists(num_items_);
-  for (std::size_t k = 0; k < transactions_.size(); ++k) {
-    for (ItemId i : transactions_[k]) {
+  for (std::size_t k = 0; k < NumTransactions(); ++k) {
+    for (ItemId i : transaction(k)) {
       tidlists[i].push_back(static_cast<Tid>(k));
     }
   }
@@ -62,23 +93,16 @@ std::vector<std::vector<Tid>> TransactionDatabase::BuildVertical() const {
 
 Support TransactionDatabase::CountSupport(std::span<const ItemId> items) const {
   Support s = 0;
-  for (const auto& t : transactions_) {
-    if (IsSubsetSorted(items, t)) ++s;
+  for (std::size_t k = 0; k < NumTransactions(); ++k) {
+    if (IsSubsetSorted(items, transaction(k))) ++s;
   }
   return s;
 }
 
 obs::MemoryComponent TransactionDatabase::ApproxMemoryUsage() const {
   obs::MemoryComponent db("database");
-  std::size_t row_bytes = 0;
-  for (const auto& t : transactions_) {
-    row_bytes += t.capacity() * sizeof(ItemId);
-  }
-  obs::MemoryComponent transactions("transactions");
-  transactions.children.emplace_back(
-      "spine", transactions_.capacity() * sizeof(transactions_[0]));
-  transactions.children.emplace_back("rows", row_bytes);
-  db.children.push_back(std::move(transactions));
+  db.children.emplace_back("items", items_.capacity() * sizeof(ItemId));
+  db.children.emplace_back("offsets", ends_.capacity() * sizeof(std::size_t));
   if (!item_names_.empty()) {
     std::size_t name_bytes = item_names_.capacity() * sizeof(item_names_[0]);
     for (const auto& name : item_names_) {

@@ -70,7 +70,8 @@ Status MineFrequentApriori(const TransactionDatabase& db,
 
     // Support counting by database scan.
     std::vector<Support> counts(candidates.size(), 0);
-    for (const auto& t : db.transactions()) {
+    for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
+      const std::span<const ItemId> t = db.transaction(k);
       for (std::size_t c = 0; c < candidates.size(); ++c) {
         if (IsSubsetSorted(candidates[c], t)) ++counts[c];
       }

@@ -100,8 +100,7 @@ class MemoryBreakdown {
 };
 
 /// Heap bytes of a vector-of-vectors: the spine plus every row buffer.
-/// The shape shared by tid lists, transposed rows and the horizontal
-/// database.
+/// The shape shared by tid lists and transposed rows.
 template <typename T>
 std::size_t NestedVectorBytes(const std::vector<std::vector<T>>& rows) {
   std::size_t bytes = rows.capacity() * sizeof(std::vector<T>);

@@ -69,7 +69,7 @@ Status StreamMiner::CheckpointTo(std::ostream& out) {
     if (panes.empty() || panes.back().first != block.pane) {
       panes.emplace_back(block.pane, 0);
     }
-    panes.back().second += block.rows->size();
+    panes.back().second += block.rows->NumTransactions();
     if (panes.back().second > std::numeric_limits<uint32_t>::max()) {
       return Status::OutOfRange("pane too large for a fim-stream-v2 record");
     }
@@ -96,7 +96,9 @@ Status StreamMiner::CheckpointTo(std::ostream& out) {
     for (; next_block < frozen.blocks.size() &&
            frozen.blocks[next_block].pane == pane;
          ++next_block) {
-      for (const std::vector<ItemId>& row : *frozen.blocks[next_block].rows) {
+      const TransactionDatabase& block = *frozen.blocks[next_block].rows;
+      for (std::size_t k = 0; k < block.NumTransactions(); ++k) {
+        const std::span<const ItemId> row = block.transaction(k);
         WritePod(out, static_cast<uint32_t>(row.size()));
         for (ItemId item : row) WritePod(out, item);
       }
@@ -189,6 +191,7 @@ Result<std::unique_ptr<StreamMiner>> StreamMiner::RestoreFrom(
   uint32_t num_panes = 0;
   if (!ReadPod(in, &num_panes)) return Corrupt("truncated pane table");
   std::vector<Block> blocks;
+  std::vector<ItemId> row;  // the row being read
   uint64_t rows_read = 0;
   for (uint32_t k = 0; k < num_panes; ++k) {
     uint64_t pane = 0;
@@ -209,7 +212,7 @@ Result<std::unique_ptr<StreamMiner>> StreamMiner::RestoreFrom(
                      std::to_string(num_rows) + " rows, expected " +
                      std::to_string(expected_rows));
     }
-    Rows rows;
+    TransactionDatabase rows;
     for (uint32_t r = 0; r < num_rows; ++r) {
       uint32_t len = 0;
       if (!ReadPod(in, &len)) return Corrupt("truncated row");
@@ -217,7 +220,7 @@ Result<std::unique_ptr<StreamMiner>> StreamMiner::RestoreFrom(
         return Corrupt("row length " + std::to_string(len) +
                        " outside [1, max_items]");
       }
-      std::vector<ItemId> row;
+      row.clear();
       for (uint32_t i = 0; i < len; ++i) {
         ItemId item = 0;
         if (!ReadPod(in, &item)) return Corrupt("truncated row");
@@ -226,12 +229,11 @@ Result<std::unique_ptr<StreamMiner>> StreamMiner::RestoreFrom(
         }
         row.push_back(item);
       }
-      rows.push_back(std::move(row));
+      rows.AddTransaction(row);
     }
     rows_read += num_rows;
-    const std::size_t bytes = RowBytes(rows);
-    blocks.push_back(
-        Block{pane, std::make_shared<const Rows>(std::move(rows)), bytes});
+    blocks.push_back(Block{
+        pane, std::make_shared<const TransactionDatabase>(std::move(rows))});
   }
   if (rows_read != covered_rows) {
     return Corrupt("panes hold " + std::to_string(rows_read) +

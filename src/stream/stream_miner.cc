@@ -1,11 +1,11 @@
 #include "stream/stream_miner.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
 #include "common/check.h"
 #include "common/timer.h"
-#include "data/transaction_database.h"
 #include "ista/ista.h"
 #include "obs/trace.h"
 
@@ -32,19 +32,20 @@ StreamMiner::StreamMiner(const StreamMinerOptions& options)
       << options_.pane_size << ", window_panes " << options_.window_panes;
 }
 
-Status StreamMiner::AddTransaction(std::vector<ItemId> items) {
+Status StreamMiner::AddTransaction(std::span<const ItemId> items) {
   obs::MemDomainScope mem_domain(obs::MemDomain::kStream);
-  NormalizeItems(&items);
+  // Normalizing keeps the set of ids, so the raw span decides both
+  // checks; the row is normalized in place once it is in the block.
   if (items.empty()) {
     return Status::InvalidArgument("empty transaction");
   }
-  if (items.back() >= options_.max_items) {
-    return Status::OutOfRange("item id " + std::to_string(items.back()) +
+  const ItemId largest = *std::max_element(items.begin(), items.end());
+  if (largest >= options_.max_items) {
+    return Status::OutOfRange("item id " + std::to_string(largest) +
                               " exceeds the miner's item capacity");
   }
   const MutexLock lock(mutex_);
-  filling_item_bytes_ += items.capacity() * sizeof(ItemId);
-  filling_.push_back(std::move(items));
+  filling_.AddTransaction(items);
   ++ingested_;
   ++counters_.transactions_ingested;
   if (options_.pane_size > 0) {
@@ -61,26 +62,13 @@ Status StreamMiner::AddTransaction(std::vector<ItemId> items) {
   return Status::OK();
 }
 
-std::size_t StreamMiner::RowBytes(const Rows& rows) {
-  std::size_t bytes = rows.capacity() * sizeof(Rows::value_type);
-  for (const std::vector<ItemId>& row : rows) {
-    bytes += row.capacity() * sizeof(ItemId);
-  }
-  return bytes;
-}
-
-std::size_t StreamMiner::FillingBytesLocked() const {
-  return filling_.capacity() * sizeof(Rows::value_type) + filling_item_bytes_;
-}
-
 void StreamMiner::SealLocked() {
-  if (filling_.empty()) return;
-  const std::size_t bytes = FillingBytesLocked();
-  blocks_.push_back(Block{current_pane_,
-                          std::make_shared<const Rows>(std::move(filling_)),
-                          bytes});
-  filling_.clear();
-  filling_item_bytes_ = 0;
+  if (filling_.NumTransactions() == 0) return;
+  const std::size_t bytes = filling_.ApproxMemoryUsage().TotalBytes();
+  blocks_.push_back(Block{
+      current_pane_,
+      std::make_shared<const TransactionDatabase>(std::move(filling_))});
+  filling_ = TransactionDatabase();
   if (options_.trace != nullptr) {
     options_.trace->Instant("seal");
     // Heap step of the rotation: the bytes that just became immutable.
@@ -121,12 +109,15 @@ Status StreamMiner::Query(Support min_support,
     SealLocked();
     covered = blocks_;
   }
-  TransactionDatabase window;
+  std::size_t rows = 0;
+  std::size_t items = 0;
   for (const Block& block : covered) {
-    for (const std::vector<ItemId>& row : *block.rows) {
-      window.AddTransaction(row);
-    }
+    rows += block.rows->NumTransactions();
+    items += block.rows->TotalItemOccurrences();
   }
+  TransactionDatabase window;
+  window.Reserve(rows, items);
+  for (const Block& block : covered) window.Append(*block.rows);
   IstaOptions ista;
   ista.min_support = min_support;
   return MineClosedIsta(window, ista, callback, /*stats=*/nullptr,
@@ -160,10 +151,12 @@ StreamStats StreamMiner::Stats() const {
 obs::MemoryComponent StreamMiner::ApproxMemoryUsage() const {
   const MutexLock lock(mutex_);
   obs::MemoryComponent stream("stream");
-  stream.children.emplace_back("filling-rows", FillingBytesLocked());
+  stream.children.emplace_back("filling-rows",
+                               filling_.ApproxMemoryUsage().TotalBytes());
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
-    stream.children.emplace_back("block-" + std::to_string(i),
-                                 blocks_[i].bytes);
+    stream.children.emplace_back(
+        "block-" + std::to_string(i),
+        blocks_[i].rows->ApproxMemoryUsage().TotalBytes());
   }
   stream.children.emplace_back("block-list",
                                blocks_.capacity() * sizeof(Block));

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -11,6 +12,7 @@
 #include "common/status.h"
 #include "common/sync.h"
 #include "data/itemset.h"
+#include "data/transaction_database.h"
 #include "obs/memory.h"
 
 namespace fim {
@@ -83,16 +85,16 @@ struct StreamStats {
 /// Continuous closed-item-set mining over a transaction stream. The
 /// miner keeps the covered rows, not a repository:
 ///
-///  * `AddTransaction` appends to the writer-owned filling block. When a
-///    pane completes, the block is sealed (a pointer move) into an
-///    immutable shared block tagged with its pane; panes that leave the
-///    window are dropped.
+///  * `AddTransaction` appends to the writer-owned filling block, a flat
+///    TransactionDatabase. When a pane completes, the block is sealed (a
+///    move) into an immutable shared block tagged with its pane; panes
+///    that leave the window are dropped.
 ///  * `Query` seals the filling block under the ingest lock (the only
 ///    time a reader blocks the writer), then concatenates the covered
-///    blocks *outside* the lock and batch-mines them with
-///    `MineClosedIsta` at the query's minimum support — so the snapshot
-///    gets IsTa's item elimination, duplicate merging and size ordering
-///    (paper §3.2-§3.4).
+///    blocks *outside* the lock (one append per block) and batch-mines
+///    them with `MineClosedIsta` at the query's minimum support — so the
+///    snapshot gets IsTa's item elimination, duplicate merging and size
+///    ordering (paper §3.2-§3.4).
 ///
 /// Thread-safety: any number of threads may call any method
 /// concurrently. Sealed blocks are immutable and shared by `shared_ptr`,
@@ -110,7 +112,7 @@ class StreamMiner {
   /// Ingests one transaction (any order, duplicates allowed; normalized
   /// internally). InvalidArgument if empty after normalization,
   /// OutOfRange if an item id reaches max_items.
-  Status AddTransaction(std::vector<ItemId> items) FIM_EXCLUDES(mutex_);
+  Status AddTransaction(std::span<const ItemId> items) FIM_EXCLUDES(mutex_);
 
   /// Reports the closed item sets with support >= min_support (>= 1)
   /// over the current landmark history or window, items ascending. The
@@ -162,15 +164,11 @@ class StreamMiner {
   const StreamMinerOptions& options() const { return options_; }
 
  private:
-  using Rows = std::vector<std::vector<ItemId>>;
-
   /// One sealed, immutable run of rows of a pane. `pane` orders blocks;
   /// in landmark mode every block belongs to the single eternal pane 0.
-  /// `bytes` is the heap footprint of the rows, fixed at sealing.
   struct Block {
     std::uint64_t pane = 0;
-    std::shared_ptr<const Rows> rows;
-    std::size_t bytes = 0;
+    std::shared_ptr<const TransactionDatabase> rows;
   };
 
   /// Everything a checkpoint captures, copied out under the lock.
@@ -181,12 +179,6 @@ class StreamMiner {
     std::uint64_t current_pane = 0;
     StreamStats counters;
   };
-
-  /// Heap bytes of a row list (capacities: spine plus every row).
-  static std::size_t RowBytes(const Rows& rows);
-
-  /// RowBytes(filling_) in O(1).
-  std::size_t FillingBytesLocked() const FIM_REQUIRES(mutex_);
 
   /// Moves a non-empty filling block into an immutable block of the
   /// current pane and starts a fresh one.
@@ -205,10 +197,8 @@ class StreamMiner {
   // Sealed blocks, pane non-decreasing. The vector is guarded; the rows
   // behind the shared_ptrs are immutable and read lock-free.
   std::vector<Block> blocks_ FIM_GUARDED_BY(mutex_);
-  // Writer-owned rows of the current pane not sealed yet, and the sum of
-  // their capacities in bytes.
-  Rows filling_ FIM_GUARDED_BY(mutex_);
-  std::size_t filling_item_bytes_ FIM_GUARDED_BY(mutex_) = 0;
+  // Writer-owned rows of the current pane not sealed yet.
+  TransactionDatabase filling_ FIM_GUARDED_BY(mutex_);
   std::uint64_t ingested_ FIM_GUARDED_BY(mutex_) = 0;
   // Transactions in the current pane / index of the filling pane.
   std::uint64_t fill_ FIM_GUARDED_BY(mutex_) = 0;

@@ -22,7 +22,8 @@ std::vector<ItemId> IntersectionOf(const TransactionDatabase& db,
     }
     return all;
   }
-  std::vector<ItemId> inter = db.transaction(tids.front());
+  const std::span<const ItemId> first = db.transaction(tids.front());
+  std::vector<ItemId> inter(first.begin(), first.end());
   for (std::size_t k = 1; k < tids.size() && !inter.empty(); ++k) {
     inter = IntersectSorted(inter, db.transaction(tids[k]));
   }

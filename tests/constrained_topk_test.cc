@@ -22,9 +22,9 @@ std::vector<ClosedItemset> ConstrainedOracle(
   reduced.SetNumItems(db.NumItems());
   std::vector<ItemId> forbidden = constraints.must_not_contain;
   NormalizeItems(&forbidden);
-  for (const auto& t : db.transactions()) {
+  for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
     std::vector<ItemId> kept;
-    for (ItemId i : t) {
+    for (ItemId i : db.transaction(k)) {
       if (!std::binary_search(forbidden.begin(), forbidden.end(), i)) {
         kept.push_back(i);
       }

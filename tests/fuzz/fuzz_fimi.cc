@@ -4,6 +4,7 @@
 // survive the render/re-parse round trip (ToFimiString output is by
 // construction valid FIMI).
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -21,7 +22,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const std::string rendered = fim::ToFimiString(db.value());
   auto again = fim::ParseFimi(rendered);
   if (!again.ok()) __builtin_trap();
-  if (again.value().transactions() != db.value().transactions())
-    __builtin_trap();
+  const fim::TransactionDatabase& first = db.value();
+  const fim::TransactionDatabase& second = again.value();
+  if (second.NumTransactions() != first.NumTransactions()) __builtin_trap();
+  for (std::size_t k = 0; k < first.NumTransactions(); ++k) {
+    if (!std::ranges::equal(second.transaction(k), first.transaction(k)))
+      __builtin_trap();
+  }
   return 0;
 }

@@ -1,12 +1,12 @@
-// Seed-corpus generator for the fuzz harnesses. Binary seeds (the
-// fim-stream-v2 checkpoints) are produced from the live serializer at
-// build time instead of being checked in, so the corpora track format
-// changes automatically; the text FIMI seeds live in
+// Seed-corpus generator for the fuzz harnesses. Binary seeds (FIMB
+// databases and fim-stream-v2 checkpoints) are produced from the live
+// writers at build time instead of being checked in, so the corpora
+// track format changes automatically; the text FIMI seeds live in
 // tests/fuzz/corpus/fimi/ under version control. Usage:
 //
 //   fuzz_make_seeds <output-dir>
 //
-// creates <output-dir>/{fimi,stream}/ and fills each with a handful of
+// creates <output-dir>/{fimi,fimb,stream}/ and fills each with a handful of
 // valid blobs plus a truncated and a bit-flipped variant
 // (the loaders must reject those cleanly, and the mutants give the
 // fuzzer a head start on the interesting error paths).
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "data/binary_io.h"
 #include "data/fimi_io.h"
 #include "data/transaction_database.h"
 #include "stream/stream_miner.h"
@@ -80,8 +81,10 @@ int main(int argc, char** argv) {
   }
   const std::filesystem::path root(argv[1]);
   const std::filesystem::path fimi_dir = root / "fimi";
+  const std::filesystem::path fimb_dir = root / "fimb";
   const std::filesystem::path stream_dir = root / "stream";
   std::filesystem::create_directories(fimi_dir);
+  std::filesystem::create_directories(fimb_dir);
   std::filesystem::create_directories(stream_dir);
 
   // FIMI: render the sample database through the real writer (the
@@ -90,6 +93,15 @@ int main(int argc, char** argv) {
   fim::TransactionDatabase db;
   for (const auto& txn : SampleTransactions()) db.AddTransaction(txn);
   WriteSeed(fimi_dir, "sample.fimi", fim::ToFimiString(db));
+
+  // FIMB: the sample database as WriteBinaryFile writes it, with a
+  // declared item base wider than the items used, plus the mutants.
+  db.SetNumItems(8);
+  const std::filesystem::path fimb = fimb_dir / "sample.bin";
+  FIM_CHECK(fim::WriteBinaryFile(db, fimb.string()).ok());
+  auto written = fim::io::ReadFile(fimb.string());
+  FIM_CHECK(written.ok()) << written.status().ToString();
+  WriteSeedFamily(fimb_dir, "sample", written.value());
 
   WriteSeedFamily(stream_dir, "stream_landmark", StreamCheckpoint(0, 0));
   WriteSeedFamily(stream_dir, "stream_window", StreamCheckpoint(3, 2));

@@ -7,6 +7,7 @@
 #include "data/generators.h"
 #include "data/profiles.h"
 #include "data/stats.h"
+#include "test_rows.h"
 
 namespace fim {
 namespace {
@@ -18,10 +19,10 @@ TEST(GeneratorsTest, MarketBasketIsDeterministicPerSeed) {
   config.seed = 5;
   const TransactionDatabase a = GenerateMarketBasket(config);
   const TransactionDatabase b = GenerateMarketBasket(config);
-  EXPECT_EQ(a.transactions(), b.transactions());
+  EXPECT_EQ(RowsOf(a), RowsOf(b));
   config.seed = 6;
   const TransactionDatabase c = GenerateMarketBasket(config);
-  EXPECT_NE(a.transactions(), c.transactions());
+  EXPECT_NE(RowsOf(a), RowsOf(c));
 }
 
 TEST(GeneratorsTest, MarketBasketHasRequestedShape) {
@@ -51,7 +52,7 @@ TEST(GeneratorsTest, SparseBinaryDeterministicAndShaped) {
   config.seed = 3;
   const TransactionDatabase a = GenerateSparseBinary(config);
   const TransactionDatabase b = GenerateSparseBinary(config);
-  EXPECT_EQ(a.transactions(), b.transactions());
+  EXPECT_EQ(RowsOf(a), RowsOf(b));
   EXPECT_EQ(a.NumItems(), 2000u);
   EXPECT_EQ(a.NumTransactions(), 32u);
 }
@@ -68,19 +69,19 @@ TEST(ExpressionTest, DiscretizerUsesThresholds) {
   const TransactionDatabase genes =
       Discretize(m, ExpressionOrientation::kGenesAsTransactions);
   ASSERT_EQ(genes.NumTransactions(), 2u);
-  EXPECT_EQ(genes.transaction(0), (std::vector<ItemId>{0, 3}));
-  EXPECT_EQ(genes.transaction(1), (std::vector<ItemId>{0, 5}));
+  EXPECT_EQ(RowOf(genes, 0), (std::vector<ItemId>{0, 3}));
+  EXPECT_EQ(RowOf(genes, 1), (std::vector<ItemId>{0, 5}));
   EXPECT_EQ(genes.NumItems(), 6u);
 
   const TransactionDatabase conditions =
       Discretize(m, ExpressionOrientation::kConditionsAsTransactions);
   // Condition 0: gene0 over (item 0), gene1 over (item 2).
   ASSERT_EQ(conditions.NumTransactions(), 3u);
-  EXPECT_EQ(conditions.transaction(0), (std::vector<ItemId>{0, 2}));
+  EXPECT_EQ(RowOf(conditions, 0), (std::vector<ItemId>{0, 2}));
   // Condition 1: gene0 under (item 1).
-  EXPECT_EQ(conditions.transaction(1), (std::vector<ItemId>{1}));
+  EXPECT_EQ(RowOf(conditions, 1), (std::vector<ItemId>{1}));
   // Condition 2: gene1 under (item 3).
-  EXPECT_EQ(conditions.transaction(2), (std::vector<ItemId>{3}));
+  EXPECT_EQ(RowOf(conditions, 2), (std::vector<ItemId>{3}));
 }
 
 TEST(ExpressionTest, CustomThresholdsRespected) {
@@ -146,10 +147,10 @@ TEST(ProfilesTest, WebviewShape) {
 }
 
 TEST(ProfilesTest, ProfilesDeterministicPerSeed) {
-  EXPECT_EQ(MakeYeastLike(0.02, 1).transactions(),
-            MakeYeastLike(0.02, 1).transactions());
-  EXPECT_NE(MakeYeastLike(0.02, 1).transactions(),
-            MakeYeastLike(0.02, 2).transactions());
+  EXPECT_EQ(RowsOf(MakeYeastLike(0.02, 1)),
+            RowsOf(MakeYeastLike(0.02, 1)));
+  EXPECT_NE(RowsOf(MakeYeastLike(0.02, 1)),
+            RowsOf(MakeYeastLike(0.02, 2)));
 }
 
 
@@ -184,8 +185,8 @@ TEST(QuantileDiscretizeTest, TailsBecomeItems) {
   // Gene 0 holds 0..4: values 0,1 under-expressed (below values[2]=2).
   // Gene 1 holds 5..9: values 8,9 over-expressed (above values[7]=7).
   ASSERT_EQ(db.NumTransactions(), 2u);
-  EXPECT_EQ(db.transaction(0), (std::vector<ItemId>{1, 3}));   // c0,c1 down
-  EXPECT_EQ(db.transaction(1), (std::vector<ItemId>{6, 8}));   // c3,c4 up
+  EXPECT_EQ(RowOf(db, 0), (std::vector<ItemId>{1, 3}));   // c0,c1 down
+  EXPECT_EQ(RowOf(db, 1), (std::vector<ItemId>{6, 8}));   // c3,c4 up
 }
 
 TEST(QuantileDiscretizeTest, FractionRoughlyRespectedOnRandomData) {

@@ -15,6 +15,7 @@
 #include "verify/closedness.h"
 #include "verify/compare.h"
 #include "verify/oracle.h"
+#include "test_rows.h"
 
 namespace fim {
 namespace {
@@ -123,7 +124,7 @@ TEST(LcmTest, DuplicateHeavyRandomInputs) {
     // Few distinct rows over few items, each repeated: many merges.
     const TransactionDatabase base =
         GenerateRandomDense(12, 6, 0.5, seed * 131);
-    std::vector<std::vector<ItemId>> groups(base.transactions());
+    const std::vector<std::vector<ItemId>> groups = RowsOf(base);
     std::vector<std::size_t> copies;
     for (std::size_t g = 0; g < groups.size(); ++g) {
       copies.push_back(1 + (seed + g) % 5);

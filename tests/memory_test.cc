@@ -101,18 +101,23 @@ TEST(MemoryBreakdownTest, ComponentsKeepFirstRecordOrder) {
 // --- self-measurement exactness ---------------------------------------
 
 TEST(ApproxMemoryUsageTest, DatabaseMatchesManualCapacitySum) {
+  // Reserving on an empty database allocates exactly the room asked
+  // for, and the rows below fill it, so the capacities are known: six
+  // item ids and three row offsets, whatever the row count.
   TransactionDatabase db;
-  db.AddTransaction({1, 2, 3});
-  db.AddTransaction({2, 3});
-  db.AddTransaction({5});
+  db.Reserve(3, 6);
+  db.AddTransaction(std::vector<ItemId>{1, 2, 3});
+  db.AddTransaction(std::vector<ItemId>{2, 3});
+  db.AddTransaction(std::vector<ItemId>{5});
   const MemoryComponent component = db.ApproxMemoryUsage();
   EXPECT_EQ(component.name, "database");
-  std::size_t expected =
-      db.transactions().capacity() * sizeof(std::vector<ItemId>);
-  for (const auto& t : db.transactions()) {
-    expected += t.capacity() * sizeof(ItemId);
-  }
-  EXPECT_EQ(component.TotalBytes(), expected);
+  ASSERT_EQ(component.children.size(), 2u);
+  EXPECT_EQ(component.children[0].name, "items");
+  EXPECT_EQ(component.children[0].self_bytes, 6 * sizeof(ItemId));
+  EXPECT_EQ(component.children[1].name, "offsets");
+  EXPECT_EQ(component.children[1].self_bytes, 3 * sizeof(std::size_t));
+  EXPECT_EQ(component.TotalBytes(),
+            6 * sizeof(ItemId) + 3 * sizeof(std::size_t));
 }
 
 TEST(ApproxMemoryUsageTest, TidSetCountsWhateverBuffersExist) {

@@ -136,9 +136,9 @@ TransactionDatabase Permuted(const TransactionDatabase& db,
 std::size_t DistinctCodedRows(const TransactionDatabase& db, Support smin) {
   const std::vector<Support> freq = db.ItemFrequencies();
   std::set<Row> distinct;
-  for (const auto& t : db.transactions()) {
+  for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
     Row row;
-    for (ItemId i : t) {
+    for (ItemId i : db.transaction(k)) {
       if (freq[i] >= smin) row.push_back(i);
     }
     if (!row.empty()) distinct.insert(row);

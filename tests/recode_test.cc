@@ -10,6 +10,7 @@
 #include "common/rng.h"
 #include "data/recode.h"
 #include "data/transpose.h"
+#include "test_rows.h"
 
 namespace fim {
 namespace {
@@ -64,8 +65,8 @@ TEST(RecodeTest, ApplyMapsAndDropsEmptyTransactions) {
   // {0,1} loses item 1 -> {0}; others map fully.
   EXPECT_EQ(coded.NumTransactions(), 3u);
   EXPECT_EQ(coded.NumItems(), 2u);
-  for (const auto& t : coded.transactions()) {
-    for (ItemId i : t) EXPECT_LT(i, 2u);
+  for (std::size_t k = 0; k < coded.NumTransactions(); ++k) {
+    for (ItemId i : coded.transaction(k)) EXPECT_LT(i, 2u);
   }
 }
 
@@ -82,8 +83,8 @@ TEST(RecodeTest, SizeAscendingOrdersBySizeThenDescendingLex) {
   EXPECT_EQ(coded.transaction(3).size(), 3u);
   // Same-size tiebreak: lexicographic on the descending item sequence:
   // {0,1} reads (1,0), {1,2} reads (2,1) -> {0,1} first.
-  EXPECT_EQ(coded.transaction(1), (std::vector<ItemId>{0, 1}));
-  EXPECT_EQ(coded.transaction(2), (std::vector<ItemId>{1, 2}));
+  EXPECT_EQ(RowOf(coded, 1), (std::vector<ItemId>{0, 1}));
+  EXPECT_EQ(RowOf(coded, 2), (std::vector<ItemId>{1, 2}));
 }
 
 TEST(RecodeTest, SizeDescendingReverses) {
@@ -123,9 +124,9 @@ using Row = std::vector<ItemId>;
 // dropped.
 std::vector<Row> CodedRows(const TransactionDatabase& db, const Recoding& r) {
   std::vector<Row> rows;
-  for (const auto& t : db.transactions()) {
+  for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
     Row coded;
-    for (ItemId i : t) {
+    for (ItemId i : db.transaction(k)) {
       if (r.old_to_new[i] != kInvalidItem) coded.push_back(r.old_to_new[i]);
     }
     std::sort(coded.begin(), coded.end());
@@ -327,7 +328,7 @@ TEST(RecodeWeightedTest, ApplyRecodingExpandsLikeTheRowByRowRecoding) {
           const TransactionDatabase got = ApplyRecoding(db, r, order);
           const TransactionDatabase want =
               ReferenceApplyRecoding(db, r, order);
-          EXPECT_EQ(got.transactions(), want.transactions());
+          EXPECT_EQ(RowsOf(got), RowsOf(want));
           EXPECT_EQ(got.NumItems(), want.NumItems());
         }
       }
@@ -341,9 +342,9 @@ TEST(TransposeTest, SwapsItemsAndTransactions) {
   const TransactionDatabase t = Transpose(db);
   // Item 0 -> {t0}, item 1 -> {t1}, item 2 -> {t0,t1,t2}.
   ASSERT_EQ(t.NumTransactions(), 3u);
-  EXPECT_EQ(t.transaction(0), (std::vector<ItemId>{0}));
-  EXPECT_EQ(t.transaction(1), (std::vector<ItemId>{1}));
-  EXPECT_EQ(t.transaction(2), (std::vector<ItemId>{0, 1, 2}));
+  EXPECT_EQ(RowOf(t, 0), (std::vector<ItemId>{0}));
+  EXPECT_EQ(RowOf(t, 1), (std::vector<ItemId>{1}));
+  EXPECT_EQ(RowOf(t, 2), (std::vector<ItemId>{0, 1, 2}));
   EXPECT_EQ(t.NumItems(), 3u);
 }
 
@@ -351,7 +352,7 @@ TEST(TransposeTest, DoubleTransposeIsIdentityWhenNoEmptyRows) {
   const TransactionDatabase db = TransactionDatabase::FromTransactions(
       {{0, 1}, {1, 2}, {0, 2}});
   const TransactionDatabase back = Transpose(Transpose(db));
-  EXPECT_EQ(back.transactions(), db.transactions());
+  EXPECT_EQ(RowsOf(back), RowsOf(db));
 }
 
 TEST(TransposeTest, SkipsUnusedItems) {
@@ -359,7 +360,7 @@ TEST(TransposeTest, SkipsUnusedItems) {
   // Items 0..4 unused: they produce no transposed transactions.
   const TransactionDatabase t = Transpose(db);
   EXPECT_EQ(t.NumTransactions(), 1u);
-  EXPECT_EQ(t.transaction(0), (std::vector<ItemId>{0}));
+  EXPECT_EQ(RowOf(t, 0), (std::vector<ItemId>{0}));
 }
 
 }  // namespace

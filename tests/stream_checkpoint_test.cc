@@ -19,6 +19,8 @@
 namespace fim {
 namespace {
 
+using Row = std::vector<ItemId>;
+
 void IngestSlice(StreamMiner* miner, const TransactionDatabase& db,
                  std::size_t begin, std::size_t end) {
   for (std::size_t k = begin; k < end; ++k) {
@@ -133,15 +135,15 @@ TEST(StreamCheckpointTest, PendingDuplicateRunSurvivesCheckpoint) {
   options.max_items = 8;
   StreamMiner miner(options);
   for (int r = 0; r < 3; ++r) {
-    ASSERT_TRUE(miner.AddTransaction({1, 2, 3}).ok());
+    ASSERT_TRUE(miner.AddTransaction(Row{1, 2, 3}).ok());
   }
   std::stringstream checkpoint(std::ios::in | std::ios::out |
                                std::ios::binary);
   ASSERT_TRUE(miner.CheckpointTo(checkpoint).ok());
   auto restored = StreamMiner::RestoreFrom(checkpoint);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  ASSERT_TRUE(restored.value()->AddTransaction({1, 2, 3}).ok());
-  ASSERT_TRUE(miner.AddTransaction({1, 2, 3}).ok());
+  ASSERT_TRUE(restored.value()->AddTransaction(Row{1, 2, 3}).ok());
+  ASSERT_TRUE(miner.AddTransaction(Row{1, 2, 3}).ok());
   auto sets = restored.value()->QueryCollect(1);
   auto uninterrupted = miner.QueryCollect(1);
   ASSERT_TRUE(sets.ok());
@@ -176,8 +178,8 @@ TEST(StreamCheckpointTest, RestoredCountersMirrorIntoRegistry) {
   StreamMinerOptions options;
   options.max_items = 8;
   StreamMiner miner(options);
-  ASSERT_TRUE(miner.AddTransaction({0, 1}).ok());
-  ASSERT_TRUE(miner.AddTransaction({1, 2}).ok());
+  ASSERT_TRUE(miner.AddTransaction(Row{0, 1}).ok());
+  ASSERT_TRUE(miner.AddTransaction(Row{1, 2}).ok());
   ASSERT_TRUE(miner.QueryCollect(1).ok());
   std::stringstream checkpoint(std::ios::in | std::ios::out |
                                std::ios::binary);

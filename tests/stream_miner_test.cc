@@ -22,6 +22,8 @@
 namespace fim {
 namespace {
 
+using Row = std::vector<ItemId>;
+
 StreamMinerOptions Landmark(std::size_t max_items) {
   StreamMinerOptions options;
   options.max_items = max_items;
@@ -103,9 +105,9 @@ TEST(StreamMinerTest, WindowedSnapshotDropsExpiredTransactions) {
   // Two panes, window of one pane: after each rotation the snapshot
   // covers only the filling pane.
   StreamMiner miner(Windowed(4, 2, 1));
-  ASSERT_TRUE(miner.AddTransaction({0, 1}).ok());
-  ASSERT_TRUE(miner.AddTransaction({0, 1}).ok());  // pane 0 completes
-  ASSERT_TRUE(miner.AddTransaction({2, 3}).ok());
+  ASSERT_TRUE(miner.AddTransaction(Row{0, 1}).ok());
+  ASSERT_TRUE(miner.AddTransaction(Row{0, 1}).ok());  // pane 0 completes
+  ASSERT_TRUE(miner.AddTransaction(Row{2, 3}).ok());
   auto sets = miner.QueryCollect(1);
   ASSERT_TRUE(sets.ok());
   ASSERT_EQ(sets.value().size(), 1u);
@@ -161,6 +163,18 @@ TEST(StreamMinerTest, ConcurrentQueriesDuringIngest) {
   }
   for (std::size_t k = 0; k < db.NumTransactions(); ++k) {
     ASSERT_TRUE(miner.AddTransaction(db.transaction(k)).ok());
+    if (k == db.NumTransactions() / 2) {
+      // Ingest can outrun the readers' first query entirely; hold the
+      // writer here until one query has completed, so a query under
+      // ingest is certain (the deadline only bounds a reader that
+      // failed).
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(60);
+      while (queries_ok.load() == 0 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+    }
   }
   done.store(true);
   for (auto& t : readers) t.join();
@@ -179,10 +193,10 @@ TEST(StreamMinerTest, ConcurrentQueriesDuringIngest) {
 TEST(StreamMinerTest, CountersAndRegistryExport) {
   StreamMiner miner(Windowed(8, 3, 2));
   for (int r = 0; r < 4; ++r) {
-    ASSERT_TRUE(miner.AddTransaction({0, 1, 2}).ok());  // duplicate run
+    ASSERT_TRUE(miner.AddTransaction(Row{0, 1, 2}).ok());  // duplicate run
   }
-  ASSERT_TRUE(miner.AddTransaction({1, 2, 3}).ok());
-  ASSERT_TRUE(miner.AddTransaction({2, 3, 4}).ok());  // completes pane 1
+  ASSERT_TRUE(miner.AddTransaction(Row{1, 2, 3}).ok());
+  ASSERT_TRUE(miner.AddTransaction(Row{2, 3, 4}).ok());  // completes pane 1
   ASSERT_TRUE(miner.QueryCollect(1).ok());
   const StreamStats stats = miner.Stats();
   EXPECT_EQ(stats.transactions_ingested, 6u);
@@ -359,8 +373,8 @@ TEST(StreamMinerTest, RequiresAnnotatedHelperSeesConsistentState) {
 TEST(StreamMinerTest, RejectsBadInput) {
   StreamMiner miner(Landmark(5));
   EXPECT_FALSE(miner.AddTransaction({}).ok());
-  EXPECT_EQ(miner.AddTransaction({7}).code(), StatusCode::kOutOfRange);
-  ASSERT_TRUE(miner.AddTransaction({4, 1, 1}).ok());  // normalized
+  EXPECT_EQ(miner.AddTransaction(Row{7}).code(), StatusCode::kOutOfRange);
+  ASSERT_TRUE(miner.AddTransaction(Row{4, 1, 1}).ok());  // normalized
   EXPECT_EQ(miner.NumTransactions(), 1u);
   EXPECT_FALSE(miner.Query(0, [](auto, auto) {}).ok());
   auto empty = StreamMiner(Landmark(3)).QueryCollect(1);

@@ -72,8 +72,8 @@ int RunSelfCheck(const fim::TransactionDatabase& db,
   const TransactionDatabase coded =
       ApplyRecoding(db, recoding, TransactionOrder::kNone);
   IstaPrefixTree tree(coded.NumItems());
-  for (const auto& transaction : coded.transactions()) {
-    tree.AddTransaction(transaction);
+  for (std::size_t k = 0; k < coded.NumTransactions(); ++k) {
+    tree.AddTransaction(coded.transaction(k));
   }
   Status status = tree.ValidateInvariants();
   if (!status.ok()) {
